@@ -214,17 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--emit", metavar="FILE", help="write the payload to FILE")
         p.add_argument("--threads", type=int, default=1,
-                       help="cap internal parallelism (results are identical at any value)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seeds randomized test-instance generation only")
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("construct", help="build and verify a composite h-basis")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=int)
-    p.add_argument("--auto", action="store_true",
-                   help="pick (k, a) automatically (the default when no override)")
     common(p)
     p.set_defaults(func=_cmd_construct)
 

@@ -14,6 +14,8 @@ The basis G for [0, n] is the union of four components:
 
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
+build_theorem1 also builds, from the layer stacks it computes anyway, the
+immutable decomposition context that decompose reads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, factorial, log
 
-from .arith import bits_to_sorted, iroot_ceil, next_prime_at_least
+from .arith import bits_to_sorted, fold, iroot_ceil, next_prime_at_least
 from .cover import ComplementFamily, complement_size_bound, k_complement
 from .sidon import bose_chowla
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,
@@ -61,7 +63,18 @@ class ConstructionPlan:
     feasibility: str  # "formula-derived" | "grid-fallback" | "override"
 
 
-@dataclass
+@dataclass(frozen=True)
+class _DecompositionContext:
+    """Layer stacks and complement combos that decompose reads."""
+
+    a_layers: tuple[int, ...]  # exactly-i sums of A over [0, h*q]
+    b_layers: tuple[int, ...]  # exactly-i sums of B over [0, limit_h]
+    limit_h: int               # max of H = (h-a)B
+    h_mod_bits: int            # H folded into Z_q
+    y_combos: tuple[tuple[int, tuple[int, ...]], ...]  # (sum, parts), one shift per family, sorted
+
+
+@dataclass(frozen=True)
 class ConstructionResult:
     plan: ConstructionPlan
     basis: BasisSet
@@ -72,7 +85,7 @@ class ConstructionResult:
     complement: ComplementFamily
     verified: bool
     first_gap: int | None
-    _ctx: object = field(default=None, repr=False, compare=False)
+    context: _DecompositionContext = field(repr=False, compare=False)
 
     @property
     def sizes(self) -> dict:
@@ -180,14 +193,6 @@ def digit_basis(b: int, h: int) -> BasisSet:
     return BasisSet.from_iterable(j * b ** i for j in range(b) for i in range(h))
 
 
-def _fold_mod(bits: int, limit: int, q: int) -> int:
-    chunk_mask = (1 << q) - 1
-    acc = 0
-    for off in range(0, limit + 1, q):
-        acc |= (bits >> off) & chunk_mask
-    return acc
-
-
 def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     """Assemble A, B, C, D per the plan and verify the result exhaustively."""
     n, h, p, k, a, q = plan.n, plan.h, plan.p, plan.k, plan.a, plan.q
@@ -201,9 +206,9 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
 
     b_set = BasisSet(b_elems)
     limit_h = h_a * b_set.max
-    h_layers = coverage_layers(b_set, h_a, limit_h)
-    h_mod = ResidueSet.from_iterable(
-        q, bits_to_sorted(_fold_mod(h_layers[h_a], limit_h, q)))
+    b_layers = coverage_layers(b_set, h_a, limit_h)
+    h_mod_bits = fold(b_layers[h_a], limit_h, q)
+    h_mod = ResidueSet(q, bits_to_sorted(h_mod_bits))
 
     complement = k_complement(h_mod, k)
     c_elems = tuple(sorted({x for X in complement.families for x in X.members}))
@@ -219,11 +224,20 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
         set(a_set.elements) | set(b_elems) | set(c_elems) | set(d_elems))
     cert = verify_basis(basis, h, n)
 
+    # all (sum, parts) combos drawing one shift from each family
+    combos = [(0, ())]
+    for X in complement.families:
+        combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
+    context = _DecompositionContext(
+        a_layers=tuple(coverage_layers(a_set, h, h * q)), b_layers=tuple(b_layers),
+        limit_h=limit_h, h_mod_bits=h_mod_bits, y_combos=tuple(sorted(combos)))
+
     return ConstructionResult(plan=plan, basis=basis,
                               comp_a=a_set.elements, comp_b=b_elems,
                               comp_c=c_elems, comp_d=d_elems,
                               complement=complement,
-                              verified=cert.ok, first_gap=cert.first_gap)
+                              verified=cert.ok, first_gap=cert.first_gap,
+                              context=context)
 
 
 @dataclass(frozen=True)
@@ -234,29 +248,6 @@ class DecompositionWitness:
     from_b: tuple[int, ...]
     from_c: tuple[int, ...]
     from_d: tuple[int, ...]
-
-
-class _DecompositionContext:
-    """Cached layer stacks and complement combos shared across decompose calls."""
-
-    def __init__(self, result: ConstructionResult):
-        plan = result.plan
-        h, q = plan.h, plan.q
-        h_a = h - plan.a
-        self.a_elements = result.comp_a
-        self.a_layers = coverage_layers(BasisSet(result.comp_a), h, h * q)
-        b_set = BasisSet(result.comp_b)
-        self.b_elements = b_set.elements
-        self.limit_h = h_a * b_set.max
-        self.b_layers = coverage_layers(b_set, h_a, self.limit_h)
-        self.h_bits = self.b_layers[h_a]
-        self.h_mod_bits = _fold_mod(self.h_bits, self.limit_h, q)
-        # all (sum, parts) combos drawing one shift from each family
-        combos = [(0, ())]
-        for X in result.complement.families:
-            combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
-        combos.sort()
-        self.y_combos = combos
 
 
 def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
@@ -274,17 +265,16 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
         raise ValueError("decompose requires a verified result")
     if not 0 <= z <= plan.n:
         raise ValueError("z out of range")
-    if result._ctx is None:
-        result._ctx = _DecompositionContext(result)
-    ctx: _DecompositionContext = result._ctx
+    ctx = result.context
     h, p, k, a, q = plan.h, plan.p, plan.k, plan.a, plan.q
     h_a = h - a
 
     if z < h * q:
-        addends = backtrack_witness(ctx.a_layers, ctx.a_elements, h, z)
+        addends = backtrack_witness(ctx.a_layers, result.comp_a, h, z)
         return DecompositionWitness(z=z, addends=addends, from_a=addends,
                                     from_b=(), from_c=(), from_d=())
 
+    h_bits = ctx.b_layers[h_a]
     s, r = divmod(z, q)
     d_cap = p ** (a - k)
     for y_sum, y_parts in ctx.y_combos:
@@ -293,11 +283,11 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
             continue
         x = rho
         while x <= ctx.limit_h:
-            if (ctx.h_bits >> x) & 1:
+            if (h_bits >> x) & 1:
                 t = (x + y_sum - r) // q
                 quot = s - t
                 if 0 <= quot < d_cap:
-                    from_b = backtrack_witness(ctx.b_layers, ctx.b_elements, h_a, x)
+                    from_b = backtrack_witness(ctx.b_layers, result.comp_b, h_a, x)
                     from_d = []
                     for i in range(a - k):
                         quot, digit = divmod(quot, p)

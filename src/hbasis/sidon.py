@@ -3,8 +3,7 @@
 A primitive root theta of GF(p^k) gives B = { d_a : theta^{d_a} = theta + a,
 a in F_p }: a p-element set whose k-element multiset sums are pairwise
 distinct modulo p^k - 1 (hence also over the integers).  Discrete logs come
-from one full power-table walk; baby-step/giant-step is available as an
-accelerator for single logs.
+from one full power-table walk.
 
 Polynomials over F_p are coefficient tuples, constant term first.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb, isqrt
 
 from .arith import GuardError, is_prime, prime_factors
 
@@ -174,26 +172,6 @@ def build_field(p: int, k: int) -> FieldSpec:
         if all(gf.pow(gf.theta, order // r) != gf.one for r in order_factors):
             return FieldSpec(p, k, f)
     raise RuntimeError("no primitive polynomial found; internal bug")
-
-
-def discrete_log_bsgs(gf: GF, target) -> int:
-    """Baby-step/giant-step log of target to base theta; optional accelerator."""
-    n = gf.order
-    m = isqrt(n) + 1
-    baby = {}
-    cur = gf.one
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = gf.mul_theta(cur)
-    # giant stride theta^{-m}
-    stride = gf.pow(gf.theta, n - m)
-    cur = target
-    for i in range(m + 1):
-        j = baby.get(cur)
-        if j is not None:
-            return (i * m + j) % n
-        cur = gf.mul(cur, stride)
-    raise ValueError("target has no discrete log")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Exact h-fold sumset computation over [0, limit] and over Z_q.
 
-Coverage is a dense bitmask held in a Python int: pass i+1 of the dynamic
-program ORs shifted copies of pass i, one shift per element, so after h-1
-passes bit z is set iff z is a sum of exactly h elements (repetition
-allowed).  Masking to [0, limit] between passes is sound because every
-element is non-negative.
+Coverage is a dense bitmask from the `arith` bitset kernel: pass i+1 of the
+dynamic program ORs shifted copies of pass i, one shift per element, so
+after h-1 passes bit z is set iff z is a sum of exactly h elements
+(repetition allowed).  Masking to [0, limit] between passes is sound
+because every element is non-negative.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .arith import bits_to_sorted, mask_of
+from .arith import bits_to_sorted, lowest_clear, mask_of, rotate, window
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class BasisSet:
         return len(self.elements)
 
     def __contains__(self, v):
-        return v in set(self.elements)
+        i = bisect_left(self.elements, v)
+        return i < len(self.elements) and self.elements[i] == v
 
     @property
     def max(self) -> int:
@@ -58,10 +60,7 @@ class CoverageMap:
 
     def first_gap(self):
         """Least uncovered integer in [0, limit], or None if fully covered."""
-        hole = ~self.bits & ((1 << (self.limit + 1)) - 1)
-        if hole == 0:
-            return None
-        return (hole & -hole).bit_length() - 1
+        return lowest_clear(self.bits, self.limit)
 
     def to_sorted(self) -> tuple[int, ...]:
         return bits_to_sorted(self.bits)
@@ -96,7 +95,8 @@ class ResidueSet:
         return len(self.members)
 
     def __contains__(self, v):
-        return v in set(self.members)
+        i = bisect_left(self.members, v)
+        return i < len(self.members) and self.members[i] == v
 
     @property
     def mask(self) -> int:
@@ -121,7 +121,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
         raise ValueError("h must be >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    window = (1 << (limit + 1)) - 1
+    clip = window(limit)
     elems = [a for a in A.elements if a <= limit]
     layers = [0] * (h + 1)
     layers[1] = mask_of(elems)
@@ -130,7 +130,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
         nxt = 0
         for a in elems:
             nxt |= cur << a
-        layers[i] = nxt & window
+        layers[i] = nxt & clip
     return layers
 
 
@@ -198,14 +198,6 @@ def backtrack_witness(layers: list[int], elements: tuple[int, ...], h: int, z: i
     return tuple(sorted(out))
 
 
-def _rotate(mask: int, shift: int, q: int) -> int:
-    shift %= q
-    if shift == 0:
-        return mask
-    full = (1 << q) - 1
-    return ((mask << shift) | (mask >> (q - shift))) & full
-
-
 def residue_sumset(H: ResidueSet, families) -> ResidueSet:
     """H + X_1 + ... + X_k in Z_q, all operands sharing the modulus."""
     q = H.q
@@ -215,6 +207,6 @@ def residue_sumset(H: ResidueSet, families) -> ResidueSet:
             raise ValueError("modulus mismatch in residue sumset")
         nxt = 0
         for x in X.members:
-            nxt |= _rotate(acc, x, q)
+            nxt |= rotate(acc, x, q)
         acc = nxt
     return ResidueSet(q, bits_to_sorted(acc))

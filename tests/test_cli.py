@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -41,6 +42,13 @@ class TestVerify:
         code, out = run_cli(["verify", "--h", "2", "--n", "9", "--set", basis_file])
         assert code == 1
         assert "first_gap = 9" in out
+
+    def test_oversized_window_exit_3(self, basis_file):
+        # a 1e12-bit window would need ~125 GB; the guard refuses it first
+        code, out = run_cli(["verify", "--h", "2", "--n", "1000000000000",
+                             "--set", basis_file])
+        assert code == 3
+        assert out == ""
 
     def test_params_from_file(self, basis_file):
         code, out = run_cli(["verify", "--set", basis_file])
@@ -179,6 +187,41 @@ class TestDeterminism:
             _, t1 = run_cli(full + ["--threads", "1"])
             _, t8 = run_cli(full + ["--threads", "8"])
             assert t1 == t8
+
+
+class TestPinnedPayloads:
+    """SHA-256 of each acceptance-criterion-8 payload, so that a change to any
+    payload byte fails; the temporary directory reads "<DIR>"."""
+
+    PINNED = [
+        (["verify", "--h", "2", "--n", "8", "--set", "<DIR>/basis.txt"],
+         "e93e640f8b68d20bb2811c791bc3b964be04b919e145e1c243e97cdcf67dde97"),
+        (["construct", "--n", "5000", "--h", "3", "--k", "1", "--a", "2"],
+         "cbca0a28ee61790ecc9a6342b99b63aa956f3715a9547d11e1ec3befe109ce8a"),
+        (["sidon", "--p", "7", "--k", "2"],
+         "4d5a521b0eeaf0b8fc61cbe9d30836ce72db3f713678c4fc14e52fd2aea2e683"),
+        (["complement", "--k", "2", "--set", "<DIR>/rset.txt"],
+         "d85c0917700475550abe5b5be7f50df87f554df573e805707f607f61db542ddb"),
+        (["bounds", "--h", "2", "--k", "4"],
+         "7cd3035c745228abea614a3946047703e3f5c8a6bdfd489d65aa82ddfdb91c6c"),
+        (["bounds", "--h", "3", "--n", "1000", "--format", "csv"],
+         "d083ff6ce7e7c9b1084f584918101eec77e66dd8af684b649a36948d40fabec0"),
+        (["search", "--h", "2", "--k", "5"],
+         "53489baa1dfd35b112b4a03a48116716ba900b21a5390b45dcff96d3532b0400"),
+        (["table", "--h", "2", "--k-max", "4"],
+         "93fbbf1cb8e3450aa2d61d413c4b414713c1d96c164c62e83234abeaf49ce199"),
+    ]
+
+    def test_payload_hashes(self, tmp_path):
+        (tmp_path / "basis.txt").write_text("h = 2\nn = 8\nelements = 0 1 3 4\n")
+        (tmp_path / "rset.txt").write_text(
+            "q = 64\nmembers = " + " ".join(str(x) for x in range(0, 64, 3)) + "\n")
+        for argv, digest in self.PINNED:
+            argv = [a.replace("<DIR>", str(tmp_path)) for a in argv]
+            code, out = run_cli(argv)
+            assert code == 0, argv
+            out = out.replace(str(tmp_path), "<DIR>")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 class TestBasisFile:

@@ -6,7 +6,7 @@ import pytest
 
 from hbasis.arith import GuardError
 from hbasis.sidon import (GF, FieldSpec, _is_irreducible, bose_chowla,
-                          build_field, discrete_log_bsgs, is_bk, phi_exact)
+                          build_field, is_bk, phi_exact)
 
 
 class TestBuildField:
@@ -95,12 +95,3 @@ class TestPhiExact:
     def test_guard(self):
         with pytest.raises(GuardError):
             phi_exact(10_000, 3)
-
-
-class TestDiscreteLog:
-    def test_agrees_with_power_walk(self):
-        gf = GF(build_field(7, 2))
-        cur = gf.one
-        for d in range(1, 30):
-            cur = gf.mul_theta(cur)
-            assert discrete_log_bsgs(gf, cur) == d

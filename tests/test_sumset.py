@@ -34,6 +34,18 @@ class TestBasisSet:
     def test_from_iterable_dedups(self):
         assert BasisSet.from_iterable([3, 0, 3, 1]).elements == (0, 1, 3)
 
+    def test_membership(self):
+        A = BasisSet((0, 1, 3, 4))
+        assert all(v in A for v in (0, 1, 3, 4))
+        assert 2 not in A
+        assert -1 not in A
+        assert 5 not in A
+
+    @given(small_basis, st.integers(-5, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_membership_matches_tuple(self, A, v):
+        assert (v in A) == (v in A.elements)
+
 
 class TestCoverage:
     def test_two_fold_of_binary(self):
@@ -113,6 +125,16 @@ class TestWitness:
             assert all(a in A.elements for a in w)
         else:
             assert w is None
+
+
+class TestResidueSet:
+    def test_membership(self):
+        R = ResidueSet.from_iterable(8, [0, 3, 7])
+        assert all(v in R for v in (0, 3, 7))
+        assert 4 not in R
+        assert -1 not in R
+        assert 8 not in R
+        assert 11 not in R
 
 
 class TestResidueSumset:
