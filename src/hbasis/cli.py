@@ -22,7 +22,7 @@ from .bounds import bound_reports, rohrbach
 from .construct import (InfeasibleParameters, build_theorem1, plan_params)
 from .cover import complement_size_bound, k_complement
 from .search import BudgetExhausted, extremal_n, oracle_exhaustive
-from .sidon import bose_chowla, build_field, is_bk
+from .sidon import bose_chowla, is_bk
 from .sumset import BasisSet, ResidueSet, verify_basis
 
 
@@ -111,8 +111,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_sidon(args) -> int:
-    spec = build_field(args.p, args.k)
     sidon = bose_chowla(args.p, args.k)
+    spec = sidon.field
     ok_mod = is_bk(sidon.elements, args.k, sidon.order_modulus)
     ok_int = is_bk(sidon.elements, args.k)
     fields = _manifest("sidon", {"p": args.p, "k": args.k})

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, factorial, log
 
-from .arith import bits_to_sorted, fold, iroot_ceil, next_prime_at_least
+from .arith import (MAX_MASK_BITS, GuardError, bits_to_sorted, fold, iroot_ceil,
+                    next_prime_at_least)
 from .cover import ComplementFamily, complement_size_bound, k_complement
 from .sidon import bose_chowla
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,
@@ -151,9 +152,12 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     feasible for large h; at desk scale the grid enumerates 1 <= k <= a <=
     h-2, keeps pairs whose decomposition headroom holds, and minimizes the
     predicted |G| ledger.  Explicit overrides bypass both after validation.
+    An n too large for the exhaustive verify is refused before planning.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n + 1 > MAX_MASK_BITS:
+        raise GuardError(f"n + 1 exceeds the {MAX_MASK_BITS}-bit verification window")
     if h < 3:
         raise InfeasibleParameters("pipeline needs h >= 3; use digit_basis or search")
     if (k is None) != (a is None):

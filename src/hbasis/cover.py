@@ -117,10 +117,9 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
     """Greedy k-complement of A in Z_q.
 
     Rounds 1..k-1 grow the base with budget t = ceil((q ln q / |A|)^{1/k});
-    the final round gets t + ceil(ln q).  If the theoretical budget is
-    exhausted short of a full cover, extra greedy shifts are appended and
-    over_budget records that the bound was exceeded; completeness is then
-    re-verified through the sumset module, never assumed.
+    the final round gets t + ceil(ln q).  The final round runs greedy to a
+    full cover; over_budget records that it needed more than its budget.
+    Completeness is re-verified through the sumset module, never assumed.
     """
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
@@ -139,15 +138,9 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
         families.append(res.X)
         cur = residue_sumset(cur, [res.X])
 
-    t_final = t + ceil(log(q))
-    res = greedy_shift_cover(cur, full, t_final)
-    picks = list(res.picks)
-    over_budget = False
-    if len(res.remainder) > 0:
-        over_budget = True
-        extra = greedy_shift_cover(cur, res.remainder, q)
-        picks.extend(extra.picks)
-    families.append(ResidueSet.from_iterable(q, picks))
+    res = greedy_shift_cover(cur, full, q)
+    over_budget = len(res.picks) > t + ceil(log(q))
+    families.append(res.X)
 
     covered = residue_sumset(A, families)
     complete = len(covered) == q

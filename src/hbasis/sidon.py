@@ -2,10 +2,19 @@
 
 A primitive root theta of GF(p^k) gives B = { d_a : theta^{d_a} = theta + a,
 a in F_p }: a p-element set whose k-element multiset sums are pairwise
-distinct modulo p^k - 1 (hence also over the integers).  Discrete logs come
-from one full power-table walk.
+distinct modulo p^k - 1 (hence also over the integers).
 
-Polynomials over F_p are coefficient tuples, constant term first.
+The field is found by one power walk per candidate modulus f, which needs
+no polynomial arithmetic beyond multiplying by theta:
+
+- If theta = x mod f has order exactly p^k - 1, then F_p[x]/(f) has
+  p^k - 1 units among its p^k elements, so it is a field and f is
+  irreducible (and primitive).  The same walk yields the discrete logs.
+- The norm of theta, (-1)^k f(0), must generate F_p^*: the norm map onto
+  F_p^* is a surjective homomorphism, so it sends a generator to one.
+  Candidates failing this are skipped without a walk.
+
+Field elements are length-k coefficient tuples, constant term first.
 """
 
 from __future__ import annotations
@@ -16,93 +25,6 @@ from itertools import combinations_with_replacement, product
 from .arith import GuardError, is_prime, prime_factors
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p
-
-def _ptrim(f):
-    i = len(f)
-    while i > 0 and f[i - 1] == 0:
-        i -= 1
-    return tuple(f[:i])
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    return _ptrim(out)
-
-
-def _pmod(f, m, p):
-    f = list(f)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = (f[-1] * inv_lead) % p
-        off = len(f) - 1 - dm
-        for i, mi in enumerate(m):
-            f[off + i] = (f[off + i] - c * mi) % p
-        f.pop()
-    return _ptrim(f)
-
-
-def _pmulmod(f, g, m, p):
-    return _pmod(_pmul(f, g, p), m, p)
-
-
-def _ppowmod(f, e, m, p):
-    result = (1,)
-    base = _pmod(f, m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(f, g, p):
-    while g:
-        f, g = g, _pmod(f, g, p)
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = tuple((c * inv) % p for c in f)
-    return f
-
-
-def _is_irreducible(f, p):
-    """Rabin's test: x^{p^k} == x mod f and gcd(x^{p^{k/r}} - x, f) = 1."""
-    k = len(f) - 1
-    x = (0, 1)
-    if _psub(_ppowmod(x, p ** k, f, p), x, p) != ():
-        return False
-    for r in prime_factors(k):
-        xd = _ppowmod(x, p ** (k // r), f, p)
-        if _pgcd(f, _psub(xd, x, p), p) != (1,):
-            return False
-    return True
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a - b) % p
-    return _ptrim(out)
-
-
-# ---------------------------------------------------------------------------
-# Field construction
-
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p^k) described by a monic primitive modulus (coefficients constant first)."""
@@ -112,41 +34,44 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
 
-class GF:
-    """Arithmetic in GF(p^k) mod a fixed modulus; elements are length-k tuples."""
+@dataclass(frozen=True)
+class SidonSet:
+    """Sorted B_k set in [0, order_modulus - 1], with the field it came from."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.k = spec.k
-        self.order = spec.p ** spec.k - 1
-        # theta^k = -(m_0 + m_1 theta + ... + m_{k-1} theta^{k-1})
-        self._red = tuple((-c) % spec.p for c in spec.modulus[:-1])
-        self.one = (1,) + (0,) * (spec.k - 1)
-        self.theta = (0, 1) + (0,) * (spec.k - 2)
+    elements: tuple[int, ...]
+    field: FieldSpec
 
-    def mul_theta(self, u):
-        p, k = self.p, self.k
-        top = u[k - 1]
-        shifted = (0,) + u[: k - 1]
-        if top == 0:
-            return shifted
-        return tuple((shifted[i] + top * self._red[i]) % p for i in range(k))
+    @property
+    def k(self) -> int:
+        return self.field.k
 
-    def mul(self, u, v):
-        raw = _pmod(_pmul(u, v, self.p), self.spec.modulus, self.p)
-        return raw + (0,) * (self.k - len(raw))
+    @property
+    def order_modulus(self) -> int:
+        return self.field.p ** self.field.k - 1
 
-    def pow(self, u, e):
-        e %= self.order
-        result = self.one
-        base = u
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+    def __len__(self):
+        return len(self.elements)
+
+
+def _power_walk(f, p: int, k: int):
+    """Logs d with theta^d = theta + a if theta = x mod f has order p^k - 1, else None."""
+    order = p ** k - 1
+    # theta^k = -(f_0 + f_1 theta + ... + f_{k-1} theta^{k-1})
+    red = tuple((-c) % p for c in f[:-1])
+    one = (1,) + (0,) * (k - 1)
+    linear = (1,) + (0,) * (k - 2)  # theta + a has coordinates (a, 1, 0, ..., 0)
+    cur = (0,) + linear
+    logs = []
+    for d in range(1, order):
+        if cur == one:
+            return None
+        if cur[1:] == linear:
+            logs.append(d)
+        top = cur[-1]
+        cur = (0,) + cur[:-1]
+        if top:
+            cur = tuple((c + top * r) % p for c, r in zip(cur, red))
+    return logs if cur == one else None
 
 
 def build_field(p: int, k: int) -> FieldSpec:
@@ -156,61 +81,34 @@ def build_field(p: int, k: int) -> FieldSpec:
     the full multiplicative group, so that theta + a has a discrete log for
     every a in F_p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 2:
-        raise ValueError("degree must be >= 2")
-    order = p ** k - 1
-    order_factors = prime_factors(order)
-    for coeffs in product(range(p), repeat=k):
-        f = coeffs + (1,)
-        if f[0] == 0:
-            continue  # x divides f
-        if not _is_irreducible(f, p):
-            continue
-        gf = GF(FieldSpec(p, k, f))
-        if all(gf.pow(gf.theta, order // r) != gf.one for r in order_factors):
-            return FieldSpec(p, k, f)
-    raise RuntimeError("no primitive polynomial found; internal bug")
-
-
-# ---------------------------------------------------------------------------
-# Sidon sets
-
-@dataclass(frozen=True)
-class SidonSet:
-    """Sorted B_k set in [0, order_modulus - 1] with its modular reduction."""
-
-    elements: tuple[int, ...]
-    order_modulus: int
-    k: int
-
-    def __len__(self):
-        return len(self.elements)
+    return bose_chowla(p, k).field
 
 
 def bose_chowla(p: int, k: int) -> SidonSet:
     """B = { d : theta^d = theta + a, a in F_p } in Z_{p^k - 1}; |B| = p, 1 in B.
 
-    Logs collected in one walk over all powers of theta.
+    theta is x modulo the field of build_field(p, k); the logs come from the
+    same power walk that proves the modulus primitive.
     """
-    spec = build_field(p, k)
-    return bose_chowla_from_field(spec)
-
-
-def bose_chowla_from_field(spec: FieldSpec) -> SidonSet:
-    gf = GF(spec)
-    n = gf.order
-    found = []
-    cur = gf.one
-    for d in range(1, n):
-        cur = gf.mul_theta(cur)
-        # theta + a has coordinates (a, 1, 0, ..., 0)
-        if cur[1] == 1 and all(c == 0 for c in cur[2:]):
-            found.append(d)
-    if len(found) != spec.p:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 2:
+        raise ValueError("degree must be >= 2")
+    factors = prime_factors(p - 1)
+    generators = {g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors)}
+    for coeffs in product(range(p), repeat=k):
+        f = coeffs + (1,)
+        # a primitive theta has norm (-1)^k f(0) generating F_p^*
+        if (-1) ** k * f[0] % p not in generators:
+            continue
+        logs = _power_walk(f, p, k)
+        if logs is not None:
+            break
+    else:
+        raise RuntimeError("no primitive polynomial found; internal bug")
+    if len(logs) != p:
         raise RuntimeError("power-table walk found a wrong number of logs; internal bug")
-    return SidonSet(tuple(sorted(found)), order_modulus=n, k=spec.k)
+    return SidonSet(tuple(logs), FieldSpec(p, k, f))
 
 
 def is_bk(S, k: int, modulus: int | None = None) -> bool:

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from hbasis import sidon
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
@@ -75,6 +76,13 @@ class TestConstruct:
         code, _ = run_cli(["construct", "--n", "100", "--h", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", [10 ** 12, 10 ** 400])
+    def test_oversized_n_exit_3(self, n):
+        # refused by plan_params before any window or Z_q array is allocated
+        code, out = run_cli(["construct", "--n", str(n), "--h", "5"])
+        assert code == 3
+        assert out == ""
+
     def test_emitted_basis_reverifies(self, tmp_path):
         emit = tmp_path / "g.txt"
         run_cli(["construct", "--n", "5000", "--h", "3",
@@ -84,6 +92,21 @@ class TestConstruct:
 
 
 class TestSidon:
+    def test_searches_field_once(self, monkeypatch):
+        calls = []
+        walk = sidon._power_walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(sidon, "_power_walk", counted)
+        sidon.bose_chowla(7, 2)
+        one_search = len(calls)
+        calls.clear()
+        assert run_cli(["sidon", "--p", "7", "--k", "2"])[0] == 0
+        assert len(calls) == one_search
+
     def test_provenance_and_status(self):
         code, out = run_cli(["sidon", "--p", "3", "--k", "2"])
         assert code == 0

@@ -1,12 +1,23 @@
 """Bose-Chowla construction, field building, B_k checking, exact Phi_k."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
 
 from hbasis.arith import GuardError
-from hbasis.sidon import (GF, FieldSpec, _is_irreducible, bose_chowla,
-                          build_field, is_bk, phi_exact)
+from hbasis.sidon import bose_chowla, build_field, is_bk, phi_exact
+
+_PRIMES_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+PINNED_CASES = ([(p, 2) for p in _PRIMES_50]
+                + [(p, 3) for p in _PRIMES_50 if p < 30]
+                + [(p, 4) for p in (2, 3, 5, 7, 11)]
+                + [(p, 5) for p in (2, 3, 5)]
+                + [(2, k) for k in range(6, 13)])
+# SHA-256 of the compact JSON list of [p, k, modulus, elements] over
+# PINNED_CASES, recorded with the earlier polynomial-arithmetic field search
+PINNED_TABLE_SHA256 = "ef65dbbdb82a90c5cebdf7cdd19836ff28dc338004a7cb02a64a9ce0b84c25c8"
 
 
 class TestBuildField:
@@ -17,31 +28,49 @@ class TestBuildField:
         assert build_field(2, 2).modulus == (1, 1, 1)
 
     def test_gf25_is_lex_minimal_primitive(self):
-        spec = build_field(5, 2)
-        # independent scan: no lex-earlier monic quadratic may be primitive
-        for coeffs in product(range(5), repeat=2):
-            f = coeffs + (1,)
-            if f >= spec.modulus:
-                break
-            assert not _is_primitive(f, 5, 2)
-        assert _is_primitive(spec.modulus, 5, 2)
+        _assert_lex_minimal_primitive(5, 2)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_cubic_is_lex_minimal_primitive(self, p):
+        _assert_lex_minimal_primitive(p, 3)
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             build_field(9, 2)
 
+    def test_pinned_table(self):
+        rows = [[p, k, list(build_field(p, k).modulus), list(bose_chowla(p, k).elements)]
+                for p, k in PINNED_CASES]
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_TABLE_SHA256
+
+
+def _assert_lex_minimal_primitive(p, k):
+    spec = build_field(p, k)
+    # independent scan: no lex-earlier monic polynomial may be primitive
+    for coeffs in product(range(p), repeat=k):
+        f = coeffs + (1,)
+        if f >= spec.modulus:
+            break
+        assert not _is_primitive(f, p, k)
+    assert _is_primitive(spec.modulus, p, k)
+
 
 def _is_primitive(f, p, k):
-    if f[0] == 0 or not _is_irreducible(f, p):
+    """Reference test for degree <= 3: no root in F_p, and x of order p^k - 1."""
+    assert k <= 3
+    if any(sum(c * r ** i for i, c in enumerate(f)) % p == 0 for r in range(p)):
         return False
-    gf = GF(FieldSpec(p, k, f))
     order = p ** k - 1
-    seen = gf.theta
-    for d in range(1, order):
-        if seen == gf.one:
-            return False
-        seen = gf.mul_theta(seen)
-    return seen == gf.one
+    power = [1] + [0] * (k - 1)  # x^d mod f, constant term first
+    for d in range(1, order + 1):
+        # multiply by x, then replace x^k by -(f_0 + ... + f_{k-1} x^{k-1})
+        power = [0] + power
+        top = power.pop()
+        power = [(c - top * fi) % p for c, fi in zip(power, f)]
+        if power == [1] + [0] * (k - 1):
+            return d == order
+    return False
 
 
 class TestBoseChowla:
