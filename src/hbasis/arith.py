@@ -2,7 +2,8 @@
 
 A set of non-negative integers is held as a Python int bitmask: bit v is
 set iff v is in the set.  Every conversion and layout operation on such
-masks lives here: building a mask, decoding it to a sorted tuple, the
+masks lives here: building a mask, unpacking it to a numpy bool array
+(the one mask-to-numpy conversion) or decoding it to a sorted tuple, the
 [0, limit] window and its lowest clear bit, rotation in Z_q, and folding
 [0, limit] into Z_q.  Windows wider than MAX_MASK_BITS are refused with
 GuardError before anything is allocated.
@@ -20,17 +21,15 @@ class GuardError(RuntimeError):
 
 
 def iroot_ceil(n: int, k: int) -> int:
-    """Smallest integer r with r**k >= n.  Exact integer arithmetic."""
+    """Smallest r with r**k >= n: exact integer Newton down from 1 << ceil(bits/k)."""
     if n <= 0:
         return 0
     if k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    while r ** k >= n:
-        r -= 1
-    while r ** k < n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r ** k == n else r + 1
 
 
 def is_prime(n: int) -> bool:
@@ -78,10 +77,15 @@ def mask_of(values) -> int:
     return m
 
 
+def to_bools(bits: int, q: int) -> np.ndarray:
+    """Bits 0..q-1 of a mask below 2**q as a length-q numpy bool array."""
+    raw = np.frombuffer(bits.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=q, bitorder="little").view(bool)
+
+
 def bits_to_sorted(bits: int) -> tuple[int, ...]:
     """Set bits of a non-negative mask, ascending, as Python ints.  Linear time."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+    return tuple(np.flatnonzero(to_bools(bits, bits.bit_length())).tolist())
 
 
 def window(limit: int) -> int:

@@ -14,8 +14,8 @@ The basis G for [0, n] is the union of four components:
 
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
-build_theorem1 also builds, from the layer stacks it computes anyway, the
-immutable decomposition context that decompose reads.
+build_theorem1 also builds, from the B layer stack and H fold it computes
+anyway, the immutable decomposition context that decompose reads.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class ConstructionPlan:
 
 @dataclass(frozen=True)
 class _DecompositionContext:
-    """Layer stacks and complement combos that decompose reads."""
+    """What decompose reads: A's digit base, B's layer stack, H mod q, combos."""
 
-    a_layers: tuple[int, ...]  # exactly-i sums of A over [0, h*q]
+    a_base: int                # A = digit_basis(a_base, h), a_base^h > h*q
     b_layers: tuple[int, ...]  # exactly-i sums of B over [0, limit_h]
     limit_h: int               # max of H = (h-a)B
     h_mod_bits: int            # H folded into Z_q
@@ -212,10 +212,9 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     limit_h = h_a * b_set.max
     b_layers = coverage_layers(b_set, h_a, limit_h)
     h_mod_bits = fold(b_layers[h_a], limit_h, q)
-    h_mod = ResidueSet(q, bits_to_sorted(h_mod_bits))
 
-    complement = k_complement(h_mod, k)
-    c_elems = tuple(sorted({x for X in complement.families for x in X.members}))
+    complement = k_complement(ResidueSet(q, h_mod_bits), k)
+    c_elems = bits_to_sorted(complement.union.bits)
 
     d_elems = tuple(sorted({0} | {j * p ** i
                                   for j in range(1, p)
@@ -224,8 +223,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     b_digit = iroot_ceil(h * q + 1, h)
     a_set = digit_basis(b_digit, h)
 
-    basis = BasisSet.from_iterable(
-        set(a_set.elements) | set(b_elems) | set(c_elems) | set(d_elems))
+    basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
 
     # all (sum, parts) combos drawing one shift from each family
@@ -233,7 +231,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     for X in complement.families:
         combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
     context = _DecompositionContext(
-        a_layers=tuple(coverage_layers(a_set, h, h * q)), b_layers=tuple(b_layers),
+        a_base=b_digit, b_layers=tuple(b_layers),
         limit_h=limit_h, h_mod_bits=h_mod_bits, y_combos=tuple(sorted(combos)))
 
     return ConstructionResult(plan=plan, basis=basis,
@@ -254,13 +252,20 @@ class DecompositionWitness:
     from_d: tuple[int, ...]
 
 
+def _digit_terms(v: int, b: int, count: int, unit: int = 1) -> tuple[int, ...]:
+    """d_i * b^i * unit for the base-b digits d_0 .. d_{count-1} of v, lowest first."""
+    return tuple(v // b ** i % b * b ** i * unit for i in range(count))
+
+
 def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     """Express z as exactly h addends drawn from the claimed components.
 
-    z < h*q goes through the digit-basis layer stack.  Otherwise z = s*q + r
-    is matched residue-first: some family combo y and some x in H = (h-a)B
-    satisfy x + y == r (mod q); their overshoot t = (x + y - r)/q is folded
-    into the quotient, and s - t is written in base p on D's exponents.
+    z < h*q < b^h is the sum of its h base-b digit terms d_i b^i, all in A;
+    largest-first backtracking over A's layers would return the same terms.
+    Otherwise z = s*q + r is matched residue-first: some family combo y and
+    some x in H = (h-a)B satisfy x + y == r (mod q); their overshoot
+    t = (x + y - r)/q is folded into the quotient, and s - t is written in
+    base p on D's exponents.
     Failure to find in-range (x, y) is a construction counterexample and is
     raised, never papered over.
     """
@@ -274,7 +279,7 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     h_a = h - a
 
     if z < h * q:
-        addends = backtrack_witness(ctx.a_layers, result.comp_a, h, z)
+        addends = tuple(sorted(_digit_terms(z, ctx.a_base, h)))
         return DecompositionWitness(z=z, addends=addends, from_a=addends,
                                     from_b=(), from_c=(), from_d=())
 
@@ -292,11 +297,7 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
                 quot = s - t
                 if 0 <= quot < d_cap:
                     from_b = backtrack_witness(ctx.b_layers, result.comp_b, h_a, x)
-                    from_d = []
-                    for i in range(a - k):
-                        quot, digit = divmod(quot, p)
-                        from_d.append(digit * p ** (h_a + k + i))
-                    from_d = tuple(from_d)
+                    from_d = _digit_terms(quot, p, a - k, p ** (h_a + k))
                     addends = tuple(sorted(from_b + y_parts + from_d))
                     if sum(addends) != z or len(addends) != h:
                         raise AssertionError("decomposition arithmetic failed")

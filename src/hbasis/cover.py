@@ -7,9 +7,12 @@ which by averaging removes at least an |A|/q fraction of the uncovered
 mass and therefore meets the per-round bound |B \\ (A + X_j)| <=
 (1 - |A|/q)^j |B|.
 
-Per-round gains for all q shifts come from one circular cross-correlation
-(FFT); counts are integers, so rounding restores exactness and the
-smallest-shift tie-break is an argmax over exact values.
+Sets stay bitmasks (ResidueSet) throughout: a pick clears the rotated base
+from the uncovered mask, and popcounts give the trace.  numpy only feeds
+the FFT: per-round gains for all q shifts come from one circular
+cross-correlation of the unpacked masks; counts are integers, so rounding
+restores exactness and the smallest-shift tie-break is an argmax over
+exact values.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from math import ceil, log
 
 import numpy as np
 
+from .arith import rotate, to_bools
 from .sumset import ResidueSet, residue_sumset
 
 
@@ -51,12 +55,16 @@ class ComplementFamily:
         return sum(self.family_sizes)
 
     @property
-    def union_size(self) -> int:
-        """|X_1 u ... u X_k|, the size of the complement."""
-        u = set()
+    def union(self) -> ResidueSet:
+        """X_1 u ... u X_k, the complement itself."""
+        bits = 0
         for X in self.families:
-            u.update(X.members)
-        return len(u)
+            bits |= X.bits
+        return ResidueSet(self.q, bits)
+
+    @property
+    def union_size(self) -> int:
+        return len(self.union)
 
 
 def _gains_fft(fa_conj: np.ndarray, uncovered: np.ndarray, q: int) -> np.ndarray:
@@ -72,19 +80,6 @@ def gains_naive(A: ResidueSet, uncovered_members) -> list[int]:
     return [sum(1 for a in A.members if (a + x) % q in unc) for x in range(q)]
 
 
-def _greedy(a_arr: np.ndarray, fa_conj: np.ndarray, uncovered: np.ndarray,
-            q: int, budget) -> tuple[list[int], list[int]]:
-    picks: list[int] = []
-    trace: list[int] = []
-    while uncovered.any() and (budget is None or len(picks) < budget):
-        gains = _gains_fft(fa_conj, uncovered, q)
-        x = int(np.argmax(gains))
-        picks.append(x)
-        uncovered[(a_arr + x) % q] = False
-        trace.append(int(uncovered.sum()))
-    return picks, trace
-
-
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     """Up to t greedy shifts of A covering B; remainder = B \\ (A + X)."""
     if len(A) == 0:
@@ -94,15 +89,16 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     if t < 0:
         raise ValueError("shift budget must be >= 0")
     q = A.q
-    a_arr = np.array(A.members, dtype=np.int64)
-    ind = np.zeros(q, dtype=np.float64)
-    ind[a_arr] = 1.0
-    fa_conj = np.conj(np.fft.rfft(ind))
-    uncovered = np.zeros(q, dtype=bool)
-    uncovered[list(B.members)] = True
-    picks, trace = _greedy(a_arr, fa_conj, uncovered, q, t)
-    remainder = ResidueSet(q, tuple(int(v) for v in np.flatnonzero(uncovered)))
-    return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=remainder,
+    fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q).astype(np.float64)))
+    uncovered = B.bits
+    picks: list[int] = []
+    trace: list[int] = []
+    while uncovered and len(picks) < t:
+        x = int(np.argmax(_gains_fft(fa_conj, to_bools(uncovered, q), q)))
+        picks.append(x)
+        uncovered &= ~rotate(A.bits, x, q)
+        trace.append(uncovered.bit_count())
+    return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=ResidueSet(q, uncovered),
                       picks=tuple(picks), uncovered_trace=tuple(trace))
 
 

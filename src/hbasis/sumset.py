@@ -4,7 +4,8 @@ Coverage is a dense bitmask from the `arith` bitset kernel: pass i+1 of the
 dynamic program ORs shifted copies of pass i, one shift per element, so
 after h-1 passes bit z is set iff z is a sum of exactly h elements
 (repetition allowed).  Masking to [0, limit] between passes is sound
-because every element is non-negative.
+because every element is non-negative.  A subset of Z_q (ResidueSet) is
+a mask too, over [0, q-1]; shifts in Z_q are rotations of that mask.
 """
 
 from __future__ import annotations
@@ -68,39 +69,37 @@ class CoverageMap:
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """Subset of Z_q together with its modulus q."""
+    """Subset of Z_q as a bitmask over [0, q-1]: bit v set iff v is a member."""
 
     q: int
-    members: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
         if self.q < 1:
             raise ValueError("modulus must be >= 1")
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise ValueError("members must be strictly increasing")
-        if members and (members[0] < 0 or members[-1] >= self.q):
-            raise ValueError("members must lie in [0, q-1]")
+        if self.bits < 0 or self.bits.bit_length() > self.q:
+            raise ValueError("mask must lie in [0, 2**q - 1]")
 
     @classmethod
     def from_iterable(cls, q: int, values) -> "ResidueSet":
-        return cls(q, tuple(sorted(set(values))))
+        values = tuple(values)
+        if values and (min(values) < 0 or max(values) >= q):
+            raise ValueError("members must lie in [0, q-1]")
+        return cls(q, mask_of(values))
 
     @classmethod
     def full(cls, q: int) -> "ResidueSet":
-        return cls(q, tuple(range(q)))
+        return cls(q, window(q - 1))
 
     def __len__(self):
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __contains__(self, v):
-        i = bisect_left(self.members, v)
-        return i < len(self.members) and self.members[i] == v
+        return 0 <= v < self.q and (self.bits >> v) & 1 == 1
 
     @property
-    def mask(self) -> int:
-        return mask_of(self.members)
+    def members(self) -> tuple[int, ...]:
+        return bits_to_sorted(self.bits)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def backtrack_witness(layers: list[int], elements: tuple[int, ...], h: int, z: i
 def residue_sumset(H: ResidueSet, families) -> ResidueSet:
     """H + X_1 + ... + X_k in Z_q, all operands sharing the modulus."""
     q = H.q
-    acc = H.mask
+    acc = H.bits
     for X in families:
         if X.q != q:
             raise ValueError("modulus mismatch in residue sumset")
@@ -209,4 +208,4 @@ def residue_sumset(H: ResidueSet, families) -> ResidueSet:
         for x in X.members:
             nxt |= rotate(acc, x, q)
         acc = nxt
-    return ResidueSet(q, bits_to_sorted(acc))
+    return ResidueSet(q, acc)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbasis.arith import (MAX_MASK_BITS, GuardError, bits_to_sorted, fold,
-                          lowest_clear, mask_of, rotate, window)
+                          iroot_ceil, lowest_clear, mask_of, rotate, to_bools,
+                          window)
 
 
 # Reference definitions in plain integer arithmetic, without numpy.
@@ -69,6 +70,51 @@ class TestDecode:
         got = bits_to_sorted(m)
         assert got == ref_bits_to_sorted(m) == tuple(sorted(values))
         assert all(type(v) is int for v in got)
+
+
+class TestToBools:
+    @given(st.integers(1, 300), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, q, data):
+        values = data.draw(st.lists(st.integers(0, q - 1), max_size=40))
+        m = mask_of(values)
+        arr = to_bools(m, q)
+        assert arr.dtype == bool and arr.shape == (q,)
+        assert [v for v in range(q) if arr[v]] == sorted(set(values))
+        assert mask_of(int(v) for v in arr.nonzero()[0]) == m
+
+    def test_empty(self):
+        assert to_bools(0, 0).shape == (0,)
+
+    def test_mask_wider_than_q_rejected(self):
+        with pytest.raises(OverflowError):
+            to_bools(1 << 16, 9)
+
+
+class TestIrootCeil:
+    @given(st.integers(1, 10 ** 80), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_brackets_the_root(self, n, k):
+        r = iroot_ceil(n, k)
+        assert r ** k >= n > (r - 1) ** k
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 10, 2999])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_exact_powers_and_neighbours(self, r, k):
+        assert iroot_ceil(r ** k, k) == r
+        assert iroot_ceil(r ** k + 1, k) == r + 1
+        assert iroot_ceil(r ** k - 1, k) == (r if r > 1 else 0)
+
+    @pytest.mark.parametrize("n, k, r", [(10 ** 400, 2, 10 ** 200),
+                                         (3 ** 200, 2, 3 ** 100),
+                                         (10 ** 300, 2, 10 ** 150)])
+    def test_beyond_float_range(self, n, k, r):
+        # a float seed overflows on the first and never converges on the others
+        assert iroot_ceil(n, k) == r
+
+    def test_non_positive(self):
+        assert iroot_ceil(0, 3) == 0
+        assert iroot_ceil(-5, 2) == 0
 
 
 class TestRotateFold:

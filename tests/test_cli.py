@@ -132,6 +132,14 @@ class TestComplement:
                            "--set", residue_file])
         assert code == 2
 
+    @pytest.mark.parametrize("members", ["0 1 8", "-1 0 1"])
+    def test_out_of_range_member_exit_2(self, tmp_path, members):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"q = 8\nmembers = {members}\n")
+        code, out = run_cli(["complement", "--k", "1", "--set", str(path)])
+        assert code == 2
+        assert out == ""
+
 
 class TestBounds:
     def test_text(self):

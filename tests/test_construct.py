@@ -1,5 +1,6 @@
 """Construction pipeline: tau, planning, digit bases, assembly, decompose."""
 
+import hashlib
 import math
 import random
 
@@ -157,3 +158,25 @@ class TestDecompose:
     def test_rejects_out_of_range(self, result):
         with pytest.raises(ValueError):
             decompose(result.plan.n + 1, result)
+
+
+class TestPinnedWitnesses:
+    # SHA-256 over the witness (or "err") of every z <= n on three plans,
+    # recorded before the head-interval path moved from layer backtracking
+    # to the base-b digit expansion.  The (1e4, 4, 1, 3) plan keeps its
+    # known DecompositionError at z = n.
+    PLANS = ((10 ** 4, 3, 1, 2), (10 ** 5, 4, None, None), (10 ** 4, 4, 1, 3))
+    DIGEST = "b9404e4d0cde526fcd956d976206e612e2795b6c665e69beef8882ee18b05d75"
+
+    def test_every_witness(self):
+        digest = hashlib.sha256()
+        for n, h, k, a in self.PLANS:
+            res = build_theorem1(plan_params(n, h, k, a))
+            for z in range(n + 1):
+                try:
+                    w = decompose(z, res)
+                    line = f"{z} {w.addends} {w.from_a} {w.from_b} {w.from_c} {w.from_d}\n"
+                except DecompositionError:
+                    line = f"{z} err\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == self.DIGEST

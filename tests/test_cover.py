@@ -29,17 +29,17 @@ class TestGreedyShiftCover:
 
     def test_rejects_empty_base(self):
         with pytest.raises(ValueError):
-            greedy_shift_cover(ResidueSet(4, ()), ResidueSet.full(4), 1)
+            greedy_shift_cover(ResidueSet.from_iterable(4, ()), ResidueSet.full(4), 1)
 
     def test_fft_gains_match_naive(self):
         rng = random.Random(7)
         for q in (5, 16, 37, 128):
             members = sorted(rng.sample(range(q), rng.randint(1, q)))
-            A = ResidueSet(q, tuple(members))
+            A = ResidueSet.from_iterable(q, members)
             b_members = sorted(rng.sample(range(q), rng.randint(1, q)))
             expected = gains_naive(A, b_members)
             # one greedy step must pick the naive argmax (smallest on ties)
-            res = greedy_shift_cover(A, ResidueSet(q, tuple(b_members)), 1)
+            res = greedy_shift_cover(A, ResidueSet.from_iterable(q, b_members), 1)
             assert res.picks[0] == expected.index(max(expected))
 
     def test_prefix_bound_randomized(self):

@@ -136,6 +136,35 @@ class TestResidueSet:
         assert 8 not in R
         assert 11 not in R
 
+    def test_rejects_mask_outside_window(self):
+        with pytest.raises(ValueError):
+            ResidueSet(8, 1 << 8)
+        with pytest.raises(ValueError):
+            ResidueSet(8, -1)
+        with pytest.raises(ValueError):
+            ResidueSet(0, 0)
+        assert len(ResidueSet(8, (1 << 8) - 1)) == 8
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_rejects_member_outside_z_q(self, bad):
+        with pytest.raises(ValueError, match=r"members must lie in \[0, q-1\]"):
+            ResidueSet.from_iterable(8, [0, bad])
+
+    def test_full(self):
+        assert ResidueSet.full(5).members == (0, 1, 2, 3, 4)
+        assert ResidueSet.full(1).members == (0,)
+
+    @given(st.integers(1, 200), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_set(self, q, data):
+        values = data.draw(st.lists(st.integers(0, q - 1), max_size=40))
+        R = ResidueSet.from_iterable(q, values)
+        plain = set(values)
+        assert len(R) == len(plain)
+        assert R.members == tuple(sorted(plain))
+        for v in range(-2, q + 2):
+            assert (v in R) == (v in plain)
+
 
 class TestResidueSumset:
     def test_examples(self):
