@@ -6,7 +6,8 @@ masks lives here: building a mask, unpacking it to a numpy bool array
 (the one mask-to-numpy conversion) or decoding it to a sorted tuple, the
 [0, limit] window and its lowest clear bit, rotation in Z_q, and folding
 [0, limit] into Z_q.  Windows wider than MAX_MASK_BITS are refused with
-GuardError before anything is allocated.
+GuardError before anything is allocated, and so are Z_q gains FFTs longer
+than MAX_FFT_LEN.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 MAX_MASK_BITS = 1 << 32
+# a full gains pass holds ~45 bytes per residue (uint8 unpack, float64
+# input, complex spectrum, float64 and int64 outputs): ~3 GB at 2**26
+MAX_FFT_LEN = 1 << 26
 
 
 class GuardError(RuntimeError):

@@ -9,10 +9,16 @@ mass and therefore meets the per-round bound |B \\ (A + X_j)| <=
 
 Sets stay bitmasks (ResidueSet) throughout: a pick clears the rotated base
 from the uncovered mask, and popcounts give the trace.  numpy only feeds
-the FFT: per-round gains for all q shifts come from one circular
-cross-correlation of the unpacked masks; counts are integers, so rounding
-restores exactness and the smallest-shift tie-break is an argmax over
-exact values.
+the FFTs.  Each round seeds the gains of all q shifts with one circular
+cross-correlation of the unpacked base and uncovered masks.  When the base
+A lies in a window [0, L) short against q, the round then keeps that array
+current locally: picking x newly covers R = U & (A + x), and only the
+shifts x + d with |d| < L can lose gain, each by |(A + x + d) & R|, a
+linear correlation of A's window with R - x that one power-of-two FFT of
+length >= 2L computes.  A base whose window FFT would be longer than q/2
+saves nothing that way and recomputes the full correlation before every
+pick instead.  Counts are integers, so rounding restores exactness on both
+paths and the smallest-shift tie-break is an argmax over exact values.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .arith import rotate, to_bools
+from .arith import MAX_FFT_LEN, GuardError, rotate, to_bools
 from .sumset import ResidueSet, residue_sumset
 
 
@@ -80,8 +86,44 @@ def gains_naive(A: ResidueSet, uncovered_members) -> list[int]:
     return [sum(1 for a in A.members if (a + x) % q in unc) for x in range(q)]
 
 
+def _window_len(base_len: int, q: int) -> int:
+    """FFT length of the windowed drop for a base inside [0, base_len), or 0.
+
+    The power of two >= 2 * base_len keeps every difference in
+    (-base_len, base_len) apart.  0 selects the full recompute when that
+    length exceeds q/2: between q/2 and q the window's per-pick work
+    measured slower than one full FFT on smooth q such as 270,000.
+    """
+    n = 1 << (2 * base_len - 1).bit_length()
+    return n if 2 * n <= q else 0
+
+
+def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
+                   covered: int, x: int) -> None:
+    """gains[x + d] -= |(A + x + d) & R| in place, for every d in (-L, L).
+
+    R is what picking x newly covered, and no shift outside x + (-L, L)
+    loses gain.  covered = R - x is a subset of A, so it lies in A's window
+    [0, L), L = base_len.  window_conj is the conjugated rfft of that window
+    at the even _window_len length n = 2 * (bins - 1).
+    """
+    n = 2 * (window_conj.size - 1)
+    spec = np.fft.rfft(to_bools(covered, base_len).astype(np.float64), n) * window_conj
+    # corr[d mod n] = |(A + d) & covered|; roll puts d = -(L - 1) first
+    corr = np.roll(np.fft.irfft(spec, n), base_len - 1)[:2 * base_len - 1]
+    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= np.rint(corr).astype(np.int64)
+
+
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
-    """Up to t greedy shifts of A covering B; remainder = B \\ (A + X)."""
+    """Up to t greedy shifts of A covering B; remainder = B \\ (A + X).
+
+    One FFT seeds the gains of all q shifts.  If A's window [0, L) is short
+    against q (_window_len), each pick then subtracts its windowed drop;
+    otherwise the gains are recomputed in full before each pick.  Both keep
+    exact integer gains, so the picks (argmax, smallest shift on ties) do
+    not depend on the path.  q over MAX_FFT_LEN raises GuardError before
+    any array is allocated.
+    """
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
     if A.q != B.q:
@@ -89,15 +131,30 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     if t < 0:
         raise ValueError("shift budget must be >= 0")
     q = A.q
-    fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q).astype(np.float64)))
+    if q > MAX_FFT_LEN:
+        raise GuardError(f"gains over Z_{q} exceed the {MAX_FFT_LEN}-point FFT guard")
+    base_len = A.bits.bit_length()
+    n = _window_len(base_len, q)
+    base = to_bools(A.bits, q).astype(np.float64)
+    fa_conj = np.conj(np.fft.rfft(base))
+    window_conj = np.conj(np.fft.rfft(base[:base_len], n)) if n else None
+    del base
     uncovered = B.bits
     picks: list[int] = []
     trace: list[int] = []
+    gains = None
     while uncovered and len(picks) < t:
-        x = int(np.argmax(_gains_fft(fa_conj, to_bools(uncovered, q), q)))
+        if gains is None:
+            gains = _gains_fft(fa_conj, to_bools(uncovered, q), q)
+        x = int(np.argmax(gains))
+        covered = uncovered & rotate(A.bits, x, q)
+        uncovered ^= covered
         picks.append(x)
-        uncovered &= ~rotate(A.bits, x, q)
         trace.append(uncovered.bit_count())
+        if n:
+            _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
+        else:
+            gains = None  # freed before the next full recompute
     return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=ResidueSet(q, uncovered),
                       picks=tuple(picks), uncovered_trace=tuple(trace))
 

@@ -140,6 +140,14 @@ class TestComplement:
         assert code == 2
         assert out == ""
 
+    def test_oversized_fft_exit_3(self, tmp_path):
+        # q one past MAX_FFT_LEN: refused before any gains array is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text(f"q = {(1 << 26) + 1}\nmembers = 0\n")
+        code, out = run_cli(["complement", "--k", "1", "--set", str(path)])
+        assert code == 3
+        assert out == ""
+
 
 class TestBounds:
     def test_text(self):

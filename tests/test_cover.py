@@ -1,11 +1,17 @@
 """Greedy shift covers: worked examples, prefix bound, budget audit."""
 
+import hashlib
 import random
 from math import ceil, log
 
+import numpy as np
 import pytest
 
-from hbasis.cover import (complement_size_bound, gains_naive,
+from hbasis import cover
+from hbasis.arith import bits_to_sorted, rotate, to_bools
+from hbasis.construct import build_theorem1, plan_params
+from hbasis.cover import (_gains_fft, _subtract_drop, _window_len,
+                          complement_size_bound, gains_naive,
                           greedy_shift_cover, k_complement)
 from hbasis.sumset import ResidueSet, residue_sumset
 
@@ -62,6 +68,110 @@ class TestGreedyShiftCover:
         a = greedy_shift_cover(A, B, 10)
         b = greedy_shift_cover(A, B, 10)
         assert a.picks == b.picks
+
+
+def naive_greedy(A, B, t):
+    """Reference greedy: gains_naive before every pick, first maximum wins."""
+    q = A.q
+    unc = set(B.members)
+    picks, trace = [], []
+    while unc and len(picks) < t:
+        gains = gains_naive(A, unc)
+        x = gains.index(max(gains))
+        picks.append(x)
+        unc -= {(a + x) % q for a in A.members}
+        trace.append(len(unc))
+    return tuple(picks), tuple(trace)
+
+
+def windowed_gains_oracle(A, B, t):
+    """Drive _subtract_drop pick by pick as the window path does, checking
+    the maintained gains against _gains_fft (and gains_naive at q <= 64)
+    after every pick; returns the picks."""
+    q, base_len = A.q, A.bits.bit_length()
+    n = _window_len(base_len, q)
+    fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q).astype(np.float64)))
+    window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len).astype(np.float64), n))
+    uncovered = B.bits
+    gains = _gains_fft(fa_conj, to_bools(uncovered, q), q)
+    picks = []
+    while uncovered and len(picks) < t:
+        x = int(np.argmax(gains))
+        picks.append(x)
+        covered = uncovered & rotate(A.bits, x, q)
+        uncovered ^= covered
+        _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
+        assert gains.tolist() == _gains_fft(fa_conj, to_bools(uncovered, q), q).tolist()
+        if q <= 64:
+            assert gains.tolist() == gains_naive(A, bits_to_sorted(uncovered))
+    return tuple(picks)
+
+
+def random_instances(count, seed):
+    """(A, B, t) with A packed in [0, L) (bit L - 1 set), B empty, full or
+    random, and t from 0 up to q."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(2, 96)
+        base_len = rng.randint(1, q if rng.random() < 0.5 else max(1, q // 4))
+        dense = rng.random()
+        A = ResidueSet.from_iterable(q, [v for v in range(base_len - 1) if rng.random() < dense]
+                                     + [base_len - 1])
+        kind = rng.random()
+        if kind < 0.1:
+            B = ResidueSet(q, 0)
+        elif kind < 0.4:
+            B = ResidueSet.full(q)
+        else:
+            B = ResidueSet.from_iterable(q, [v for v in range(q) if rng.random() < 0.6])
+        yield A, B, rng.randint(0, q)
+
+
+class TestIncrementalGains:
+    def test_path_rule(self):
+        # window when its power-of-two FFT (>= 2L) is at most q/2
+        assert _window_len(8, 32) == 16
+        assert _window_len(8, 31) == 0
+        assert _window_len(9, 32) == 0
+        assert _window_len(1, 4) == 2 and _window_len(1, 3) == 0
+        # (5, 1e7) round 1; (4, 1e6) round 2, half the length of q
+        assert _window_len(2733, 456_976) == 8192
+        assert _window_len(253_741, 1 << 20) == 1 << 19
+
+    def test_random_instances_against_oracles(self):
+        paths = {"window": 0, "full": 0}
+        wraps = {"high": 0, "low": 0}
+        for A, B, t in random_instances(240, seed=6):
+            q, base_len = A.q, A.bits.bit_length()
+            res = greedy_shift_cover(A, B, t)
+            assert (res.picks, res.uncovered_trace) == naive_greedy(A, B, t)
+            if _window_len(base_len, q):
+                paths["window"] += 1
+                assert windowed_gains_oracle(A, B, t) == res.picks
+                wraps["high"] += any(x > q - base_len for x in res.picks)
+                wraps["low"] += any(x < base_len - 1 for x in res.picks)
+            else:
+                paths["full"] += 1
+        assert paths == {"window": 124, "full": 116}
+        assert wraps["high"] > 0 and wraps["low"] > 0
+
+    @pytest.mark.parametrize("q, members, b_members, t", [
+        (64, range(8), [60, 62, 63, 0, 1], 3),   # first pick 58 wraps past q - L
+        (64, range(8), range(2, 10), 2),         # pick 2: drop window starts below 0
+        (32, [0, 7], range(32), 32),             # 2N = q: window path at its limit
+        (31, [0, 7], range(31), 31),             # one residue less: full path
+        (32, [0, 8], range(32), 32),             # one bit longer: full path
+        (40, [0, 1], range(40), 40),             # every pick is a tie
+        (64, [0, 3, 5], range(64), 0),           # t = 0
+        (64, [0, 3, 5], [], 5),                  # empty B
+    ])
+    def test_edge_cases(self, q, members, b_members, t):
+        A = ResidueSet.from_iterable(q, members)
+        B = ResidueSet.from_iterable(q, b_members)
+        res = greedy_shift_cover(A, B, t)
+        assert (res.picks, res.uncovered_trace) == naive_greedy(A, B, t)
+        if _window_len(A.bits.bit_length(), q):
+            assert windowed_gains_oracle(A, B, t) == res.picks
 
 
 class TestKComplement:
@@ -125,3 +235,30 @@ class TestComplementSizeBound:
         q, alpha, k = 100, 10, 2
         expected = k * ceil((q * log(q) / alpha) ** (1 / k)) + ceil(log(q))
         assert complement_size_bound(q, alpha, k) == expected
+
+
+class TestPinnedPicks:
+    # SHA-256 over every greedy round's picks and uncovered trace while
+    # build_theorem1 builds C on four default plans, recorded while every
+    # pick still came from its own full-length FFT.  Round 1 of each plan,
+    # the only round of (3, 2e5) (231 picks) included, runs on the windowed
+    # drop; round 2 of the other three recomputes in full.
+    PLANS = ((10 ** 6, 5), (10 ** 7, 6), (2 * 10 ** 5, 3), (10 ** 7, 5))
+    DIGEST = "e1488d507e198a21fbfda4865f1b91207f4af3efd78402ba98fc190e835b8cc7"
+
+    def test_picks_and_traces(self, monkeypatch):
+        rounds = []
+        greedy = cover.greedy_shift_cover
+
+        def recorded(*args):
+            rounds.append(greedy(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(cover, "greedy_shift_cover", recorded)
+        digest = hashlib.sha256()
+        for n, h in self.PLANS:
+            rounds.clear()
+            build_theorem1(plan_params(n, h))
+            for i, r in enumerate(rounds, start=1):
+                digest.update(f"{n} {h} {i} {r.picks} {r.uncovered_trace}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
