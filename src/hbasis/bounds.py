@@ -16,7 +16,6 @@ from math import comb, e, log
 @dataclass(frozen=True)
 class BoundReport:
     name: str
-    inputs: dict
     value: object  # Fraction, int, or float
     direction: str  # "lower" | "upper"
     asymptotic_terms_dropped: str | None = None
@@ -96,26 +95,20 @@ def bound_reports(h: int, k: int | None = None, n: int | None = None) -> list[Bo
     reports: list[BoundReport] = []
     if k is not None:
         lo, hi = rohrbach(h, k)
-        reports.append(BoundReport("rohrbach_lower", {"h": h, "k": k}, lo, "lower"))
-        reports.append(BoundReport("rohrbach_upper", {"h": h, "k": k}, hi, "upper"))
+        reports.append(BoundReport("rohrbach_lower", lo, "lower"))
+        reports.append(BoundReport("rohrbach_upper", hi, "upper"))
         if h == 2:
-            reports.append(BoundReport("rohrbach_quadratic", {"h": h, "k": k},
-                                       rohrbach_quadratic(k), "lower",
+            reports.append(BoundReport("rohrbach_quadratic", rohrbach_quadratic(k), "lower",
                                        asymptotic_terms_dropped="delta <= 1"))
-            reports.append(BoundReport("hammerer_hofmeister", {"h": h, "k": k},
-                                       hammerer_hofmeister(k), "lower"))
-            reports.append(BoundReport("improved_quadratic", {"h": h, "k": k},
-                                       improved_quadratic(k), "lower"))
-        reports.append(BoundReport("hofmeister_lower", {"h": h, "k": k},
-                                   hofmeister_lower(h, k), "lower",
+            reports.append(BoundReport("hammerer_hofmeister", hammerer_hofmeister(k), "lower"))
+            reports.append(BoundReport("improved_quadratic", improved_quadratic(k), "lower"))
+        reports.append(BoundReport("hofmeister_lower", hofmeister_lower(h, k), "lower",
                                    asymptotic_terms_dropped="O(k^(h-1))"))
     else:
-        reports.append(BoundReport("zeta_upper_hofmeister", {"h": h, "n": n},
-                                   zeta_upper_hofmeister(h, n), "upper",
+        reports.append(BoundReport("zeta_upper_hofmeister", zeta_upper_hofmeister(h, n), "upper",
                                    asymptotic_terms_dropped="o(h)"))
         value, regime_ok = zeta_upper_theorem1(h, n)
-        reports.append(BoundReport("zeta_upper_theorem1", {"h": h, "n": n},
-                                   value, "upper",
+        reports.append(BoundReport("zeta_upper_theorem1", value, "upper",
                                    asymptotic_terms_dropped="o(h)",
                                    note=f"regime n >= e^(h^2) {'holds' if regime_ok else 'does not hold'}"))
     return reports

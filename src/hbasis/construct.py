@@ -14,8 +14,10 @@ The basis G for [0, n] is the union of four components:
 
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
-build_theorem1 also builds, from the B layer stack and H fold it computes
-anyway, the immutable decomposition context that decompose reads.
+The result also keeps, outside its repr and equality, what decompose
+reads and nothing already held elsewhere: A's digit base, B's layer stack
+and the family combos.  H mod q is the complement's base, and
+max(H) = (h-a) max(B).
 """
 
 from __future__ import annotations
@@ -60,19 +62,11 @@ class ConstructionPlan:
     m: int       # p^{h-a} (h-a)!
     q: int       # p^{h-a+k}
     p_prime: int  # smallest prime >= ceil(m^{1/(h-a)})
-    tau: float
     feasibility: str  # "formula-derived" | "grid-fallback" | "override"
 
-
-@dataclass(frozen=True)
-class _DecompositionContext:
-    """What decompose reads: A's digit base, B's layer stack, H mod q, combos."""
-
-    a_base: int                # A = digit_basis(a_base, h), a_base^h > h*q
-    b_layers: tuple[int, ...]  # exactly-i sums of B over [0, limit_h]
-    limit_h: int               # max of H = (h-a)B
-    h_mod_bits: int            # H folded into Z_q
-    y_combos: tuple[tuple[int, tuple[int, ...]], ...]  # (sum, parts), one shift per family, sorted
+    @property
+    def tau(self) -> float:
+        return _TAU
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,12 @@ class ConstructionResult:
     complement: ComplementFamily
     verified: bool
     first_gap: int | None
-    context: _DecompositionContext = field(repr=False, compare=False)
+    # Read by decompose only.  A = digit_basis(a_base, h) with a_base^h > h*q;
+    # b_layers[i] holds the exactly-i sums of B over [0, max(H)]; y_combos
+    # holds (sum, parts) for one shift per family, sorted.
+    a_base: int = field(repr=False, compare=False)
+    b_layers: tuple[int, ...] = field(repr=False, compare=False)
+    y_combos: tuple[tuple[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
 
     @property
     def sizes(self) -> dict:
@@ -116,7 +115,7 @@ def _plan_for(n: int, h: int, k: int, a: int, feasibility: str) -> ConstructionP
     q = p ** (h - a + k)
     p_prime = next_prime_at_least(iroot_ceil(m, h - a))
     return ConstructionPlan(n=n, h=h, p=p, k=k, a=a, m=m, q=q,
-                            p_prime=p_prime, tau=_TAU, feasibility=feasibility)
+                            p_prime=p_prime, feasibility=feasibility)
 
 
 def _estimated_size(plan: ConstructionPlan) -> int:
@@ -211,9 +210,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     b_set = BasisSet(b_elems)
     limit_h = h_a * b_set.max
     b_layers = coverage_layers(b_set, h_a, limit_h)
-    h_mod_bits = fold(b_layers[h_a], limit_h, q)
 
-    complement = k_complement(ResidueSet(q, h_mod_bits), k)
+    complement = k_complement(ResidueSet(q, fold(b_layers[h_a], limit_h, q)), k)
     c_elems = bits_to_sorted(complement.union.bits)
 
     d_elems = tuple(sorted({0} | {j * p ** i
@@ -230,16 +228,14 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     combos = [(0, ())]
     for X in complement.families:
         combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
-    context = _DecompositionContext(
-        a_base=b_digit, b_layers=tuple(b_layers),
-        limit_h=limit_h, h_mod_bits=h_mod_bits, y_combos=tuple(sorted(combos)))
 
     return ConstructionResult(plan=plan, basis=basis,
                               comp_a=a_set.elements, comp_b=b_elems,
                               comp_c=c_elems, comp_d=d_elems,
                               complement=complement,
                               verified=cert.ok, first_gap=cert.first_gap,
-                              context=context)
+                              a_base=b_digit, b_layers=tuple(b_layers),
+                              y_combos=tuple(sorted(combos)))
 
 
 @dataclass(frozen=True)
@@ -274,29 +270,30 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
         raise ValueError("decompose requires a verified result")
     if not 0 <= z <= plan.n:
         raise ValueError("z out of range")
-    ctx = result.context
     h, p, k, a, q = plan.h, plan.p, plan.k, plan.a, plan.q
     h_a = h - a
 
     if z < h * q:
-        addends = tuple(sorted(_digit_terms(z, ctx.a_base, h)))
+        addends = tuple(sorted(_digit_terms(z, result.a_base, h)))
         return DecompositionWitness(z=z, addends=addends, from_a=addends,
                                     from_b=(), from_c=(), from_d=())
 
-    h_bits = ctx.b_layers[h_a]
+    h_bits = result.b_layers[h_a]
+    h_mod_bits = result.complement.base.bits
+    limit_h = h_a * result.comp_b[-1]
     s, r = divmod(z, q)
     d_cap = p ** (a - k)
-    for y_sum, y_parts in ctx.y_combos:
+    for y_sum, y_parts in result.y_combos:
         rho = (r - y_sum) % q
-        if not (ctx.h_mod_bits >> rho) & 1:
+        if not (h_mod_bits >> rho) & 1:
             continue
         x = rho
-        while x <= ctx.limit_h:
+        while x <= limit_h:
             if (h_bits >> x) & 1:
                 t = (x + y_sum - r) // q
                 quot = s - t
                 if 0 <= quot < d_cap:
-                    from_b = backtrack_witness(ctx.b_layers, result.comp_b, h_a, x)
+                    from_b = backtrack_witness(result.b_layers, result.comp_b, h_a, x)
                     from_d = _digit_terms(quot, p, a - k, p ** (h_a + k))
                     addends = tuple(sorted(from_b + y_parts + from_d))
                     if sum(addends) != z or len(addends) != h:

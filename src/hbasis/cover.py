@@ -46,11 +46,14 @@ class ShiftCover:
 class ComplementFamily:
     """Families X_1..X_k with A + X_1 + ... + X_k = Z_q when complete."""
 
-    q: int
     base: ResidueSet
     families: tuple[ResidueSet, ...]
     complete: bool
     over_budget: bool
+
+    @property
+    def q(self) -> int:
+        return self.base.q
 
     @property
     def family_sizes(self) -> tuple[int, ...]:
@@ -172,7 +175,10 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
     Rounds 1..k-1 grow the base with budget t = ceil((q ln q / |A|)^{1/k});
     the final round gets t + ceil(ln q).  The final round runs greedy to a
     full cover; over_budget records that it needed more than its budget.
-    Completeness is re-verified through the sumset module, never assumed.
+    Completeness is re-verified through the sumset module, never assumed:
+    the grown base A + X_1 + ... + X_{k-1} plus the final family must be
+    all of Z_q.  q over MAX_FFT_LEN raises GuardError before the q-bit
+    target mask is allocated.
     """
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
@@ -180,7 +186,9 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
         raise ValueError("k must be >= 1")
     q = A.q
     if q == 1:
-        return ComplementFamily(q=1, base=A, families=(), complete=True, over_budget=False)
+        return ComplementFamily(base=A, families=(), complete=True, over_budget=False)
+    if q > MAX_FFT_LEN:
+        raise GuardError(f"gains over Z_{q} exceed the {MAX_FFT_LEN}-point FFT guard")
 
     t = ceil((q * log(q) / len(A)) ** (1.0 / k))
     full = ResidueSet.full(q)
@@ -195,7 +203,6 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
     over_budget = len(res.picks) > t + ceil(log(q))
     families.append(res.X)
 
-    covered = residue_sumset(A, families)
-    complete = len(covered) == q
-    return ComplementFamily(q=q, base=A, families=tuple(families),
+    complete = len(residue_sumset(cur, [res.X])) == q
+    return ComplementFamily(base=A, families=tuple(families),
                             complete=complete, over_budget=over_budget)

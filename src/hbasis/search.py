@@ -83,16 +83,15 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
                         nodes_explored=nodes, proof_of_optimality=not exhausted)
 
 
-def oracle_exhaustive(h: int, k: int, max_element: int | None = None) -> SearchResult:
-    """Plain enumeration of all k-subsets of [0, max_element] containing 0.
+def oracle_exhaustive(h: int, k: int) -> SearchResult:
+    """Plain enumeration of all k-subsets of [0, C(k+h, h)] containing 0.
 
-    Independent of the branch-and-bound path; no pruning beyond the guard.
-    max_element defaults to the Rohrbach upper bound.
+    C(k+h, h) is Rohrbach's upper bound on n(h, k).  Independent of the
+    branch-and-bound path; no pruning beyond the guard.
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
-    if max_element is None:
-        max_element = rohrbach(h, k)[1]
+    max_element = rohrbach(h, k)[1]
     if comb(max_element, k - 1) > 5_000_000:
         raise GuardError(f"oracle too large: C({max_element}, {k - 1}) subsets")
     best_val = -1

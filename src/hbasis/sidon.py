@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .arith import GuardError, is_prime, prime_factors
 
@@ -135,7 +136,12 @@ def phi_exact(n: int, k: int):
     """Maximum B_k subset of [0, n] by exhaustive backtracking.
 
     Returns (size, witness) with the lexicographically smallest witness
-    among maximizers.  Guarded: intended for n up to ~60 at k = 2.
+    among maximizers.  sums[j] is the mask of all j-element multiset sums
+    of the current S.  Adding e grows them for j = 1..k, ascending, as
+    S'_j = S_j | (S'_{j-1} << e).  S u {e} has C(|S|+k, k) k-element
+    multisets, so e is kept iff S'_k has exactly that many bits, that is,
+    iff all its k-sums are distinct.  Guarded: intended for n up to ~60
+    at k = 2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -144,40 +150,22 @@ def phi_exact(n: int, k: int):
     if (n + 1) ** k > 300_000:
         raise GuardError(f"phi_exact range too large: n={n}, k={k}")
 
-    best_size = 0
     best_set: tuple[int, ...] = ()
 
-    def extend(S, sums_by_order, start):
-        nonlocal best_size, best_set
-        if len(S) > best_size:
-            best_size = len(S)
+    def extend(S, sums, start):
+        nonlocal best_set
+        if len(S) > len(best_set):
             best_set = tuple(S)
         for e in range(start, n + 1):
-            if len(S) + (n - e + 1) <= best_size:
+            if len(S) + (n - e + 1) <= len(best_set):
                 break
-            new_k = []
-            ok = True
-            for c in range(1, k + 1):
-                for s in sums_by_order[k - c]:
-                    new_k.append(c * e + s)
-            seen = sums_by_order[k]
-            if len(set(new_k)) != len(new_k) or any(v in seen for v in new_k):
-                ok = False
-            if not ok:
-                continue
-            nxt = []
-            for j in range(k + 1):
-                grown = set(sums_by_order[j])
-                for c in range(1, j + 1):
-                    for s in sums_by_order[j - c]:
-                        grown.add(c * e + s)
-                nxt.append(grown)
-            S.append(e)
-            extend(S, nxt, e + 1)
-            S.pop()
+            grown = [1]
+            for j in range(1, k + 1):
+                grown.append(sums[j] | grown[j - 1] << e)
+            if grown[k].bit_count() == comb(len(S) + k, k):
+                S.append(e)
+                extend(S, grown, e + 1)
+                S.pop()
 
-    # sums_by_order[j] = all j-element multiset sums of the current S
-    initial = [set() for _ in range(k + 1)]
-    initial[0].add(0)
-    extend([], initial, 0)
-    return best_size, best_set
+    extend([], [1] + [0] * k, 0)
+    return len(best_set), best_set

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,20 @@ class TestComplement:
         code, out = run_cli(["complement", "--k", "1", "--set", str(path)])
         assert code == 3
         assert out == ""
+
+    def test_huge_q_refused_before_allocation(self, tmp_path):
+        # a mask of all of Z_q at q = 2**32 would take ~1 GB of Python ints
+        path = tmp_path / "huge.txt"
+        path.write_text(f"q = {1 << 32}\nmembers = 0 1 2\n")
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["complement", "--k", "1", "--set", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert peak < 64 * 2 ** 20
 
 
 class TestBounds:

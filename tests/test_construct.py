@@ -110,6 +110,13 @@ class TestBuildTheorem1:
         assert len(res.basis) <= sum(
             len(c) for c in (res.comp_a, res.comp_b, res.comp_c, res.comp_d))
 
+    def test_decomposition_data_outside_repr_and_eq(self):
+        plan = plan_params(10 ** 4, 3, 1, 2)
+        res = build_theorem1(plan)
+        text = repr(res)
+        assert "b_layers" not in text and "y_combos" not in text
+        assert build_theorem1(plan) == res
+
     def test_verification_is_exhaustive(self):
         plan = plan_params(2000, 3, 1, 2)
         res = build_theorem1(plan)

@@ -208,6 +208,17 @@ class TestKComplement:
             assert len(residue_sumset(A, fam.families)) == q
             assert fam.complete
 
+    def test_complete_iff_from_scratch_sumset(self):
+        # reference: A + X_1 + ... + X_k rebuilt from A, not from the
+        # stack k_complement grows round by round
+        rng = random.Random(8)
+        for _ in range(120):
+            q = rng.randint(1, 96)
+            k = rng.choice((1, 2, 3))
+            A = ResidueSet.from_iterable(q, rng.sample(range(q), rng.randint(1, q)))
+            fam = k_complement(A, k)
+            assert (len(residue_sumset(A, fam.families)) == q) == fam.complete
+
     def test_budget_audit(self):
         rng = random.Random(11)
         for q in (64, 256):

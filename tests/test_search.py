@@ -79,13 +79,13 @@ class TestOracle:
                 assert (a.value, a.proof_of_optimality) == (b.value, True)
 
     def test_examples(self):
-        assert oracle_exhaustive(2, 2, 10).value == 2
-        assert oracle_exhaustive(2, 2, 10).witness == (0, 1)
-        assert oracle_exhaustive(2, 3, 10).value == 4
+        assert oracle_exhaustive(2, 2).value == 2
+        assert oracle_exhaustive(2, 2).witness == (0, 1)
+        assert oracle_exhaustive(2, 3).value == 4
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            oracle_exhaustive(2, 12, 400)
+            oracle_exhaustive(2, 12)
 
 
 class TestZetaExact:

@@ -18,6 +18,11 @@ PINNED_CASES = ([(p, 2) for p in _PRIMES_50]
 # SHA-256 of the compact JSON list of [p, k, modulus, elements] over
 # PINNED_CASES, recorded with the earlier polynomial-arithmetic field search
 PINNED_TABLE_SHA256 = "ef65dbbdb82a90c5cebdf7cdd19836ff28dc338004a7cb02a64a9ce0b84c25c8"
+PHI_CASES = ([(n, 2) for n in range(31)] + [(n, 3) for n in range(25)]
+             + [(n, 4) for n in range(13)])
+# SHA-256 over f"{n} {k} {phi_exact(n, k)}\n" for PHI_CASES, recorded with
+# the earlier set-based backtracking
+PHI_SHA256 = "d80c3c07aaa9897bcfa5771ca2d95bb566578a0a39051920fa7af61381fff20d"
 
 
 class TestBuildField:
@@ -124,3 +129,9 @@ class TestPhiExact:
     def test_guard(self):
         with pytest.raises(GuardError):
             phi_exact(10_000, 3)
+
+    def test_pinned_sizes_and_witnesses(self):
+        digest = hashlib.sha256()
+        for n, k in PHI_CASES:
+            digest.update(f"{n} {k} {phi_exact(n, k)}\n".encode())
+        assert digest.hexdigest() == PHI_SHA256
