@@ -52,6 +52,21 @@ class TestVerify:
         assert code == 3
         assert out == ""
 
+    def test_window_guard_before_any_layer(self, tmp_path):
+        # one layer shift by 2**31 would already take 256 MB
+        path = tmp_path / "wide.txt"
+        path.write_text("elements = 0 2147483648 4294967295\n")
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["verify", "--h", "2", "--n", "4294967296",
+                                 "--set", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert peak < 64 * 2 ** 20
+
     def test_params_from_file(self, basis_file):
         code, out = run_cli(["verify", "--set", basis_file])
         assert code == 0

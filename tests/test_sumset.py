@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbasis.sumset import (BasisSet, ResidueSet, h_fold_coverage, n_of,
-                           residue_sumset, verify_basis, witness)
+from hbasis.construct import digit_basis
+from hbasis.sumset import (BasisSet, Certificate, ResidueSet, h_fold_coverage,
+                           n_of, residue_sumset, verify_basis, witness)
 
 
 def brute_coverage(elements, h, limit):
@@ -106,6 +107,44 @@ class TestVerify:
 
     def test_trivial(self):
         assert verify_basis(BasisSet((0,)), 3, 0).ok
+
+    def test_all_elements_above_n(self):
+        # no element takes part, so 0 is already uncovered
+        cert = verify_basis(BasisSet((5, 9)), 2, 4)
+        assert not cert.ok and cert.first_gap == 0
+
+    def test_n_zero(self):
+        assert verify_basis(BasisSet((0, 7)), 4, 0).ok
+        assert verify_basis(BasisSet((1, 2)), 4, 0).first_gap == 0
+
+    @pytest.mark.parametrize("h, n", [(0, 5), (-1, 5), (2, -1)])
+    def test_rejects_bad_h_and_n(self, h, n):
+        with pytest.raises(ValueError):
+            verify_basis(BasisSet((0, 1)), h, n)
+
+    def test_far_gap(self):
+        # the gap lies past 95% of [0, n], long after the first checks
+        n = 22 ** 4 - 1
+        A = BasisSet(digit_basis(22, 4).elements[:-1])
+        gap = h_fold_coverage(A, 4, n).first_gap()
+        assert gap > 0.95 * n
+        assert verify_basis(A, 4, n) == Certificate(ok=False, first_gap=gap)
+
+    def test_false_claim_gap_at_one(self):
+        A = BasisSet.from_iterable(set(digit_basis(10, 4).elements) - {1})
+        assert verify_basis(A, 4, 10 ** 4 - 1).first_gap == 1
+
+    @given(st.lists(st.integers(0, 150), min_size=1, max_size=9, unique=True),
+           st.booleans(), st.integers(1, 6),
+           st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
+                     st.integers(0, 200)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pass_wise_dp(self, elems, with_zero, h, n):
+        A = BasisSet.from_iterable(elems + [0] if with_zero else elems)
+        gap = h_fold_coverage(A, h, n).first_gap()
+        cert = verify_basis(A, h, n)
+        assert cert.ok == (gap is None)
+        assert cert.first_gap == gap
 
 
 class TestWitness:
