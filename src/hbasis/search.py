@@ -47,6 +47,13 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     """Exact max of n(h, A) over |A| = k, depth-first with the successor rule
     a_next <= n(h, prefix) + 1 (a larger element strands the first gap) and
     incumbent pruning.  proof_of_optimality is false iff the budget ran out.
+
+    Each node carries its prefix's masks S_1..S_h, S_j the sums of at most j
+    elements (0 is in every prefix, so S_h is the exactly-h sumset), and its
+    reach n(h, prefix).  A child extends them by S'_j = S_j | (S'_{j-1} << e)
+    for j = 1..h ascending, and resumes the reach scan from the parent's,
+    since a child only gains sums.  Nodes wait on an explicit stack, children
+    pushed largest first, so the visit order is the recursive one at any k.
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
@@ -55,30 +62,29 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     best_wit: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
-
-    def dfs(prefix: list[int], reach: int):
-        nonlocal best_val, best_wit, nodes, exhausted
-        if exhausted:
-            return
+    stack = [((0,), (1,) * h, 0)]
+    while stack:
+        prefix, layers, reach = stack.pop()
         nodes += 1
         if nodes > node_budget:
             exhausted = True
-            return
+            break
         if len(prefix) == k:
             if reach > best_val:
                 best_val = reach
-                best_wit = tuple(prefix)
-            return
+                best_wit = prefix
+            continue
         if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
-            return
-        for e in range(prefix[-1] + 1, reach + 2):
-            prefix.append(e)
-            dfs(prefix, n_of(BasisSet(tuple(prefix)), h))
-            prefix.pop()
-            if exhausted:
-                return
-
-    dfs([0], 0)
+            continue
+        for e in range(reach + 1, prefix[-1], -1):
+            grown = []
+            s = 1
+            for layer in layers:
+                s = layer | (s << e)
+                grown.append(s)
+            hole = ~(s >> (reach + 1))
+            stack.append((prefix + (e,), tuple(grown),
+                          reach + (hole & -hole).bit_length() - 1))
     return SearchResult(h=h, k=k, value=best_val, witness=best_wit,
                         nodes_explored=nodes, proof_of_optimality=not exhausted)
 

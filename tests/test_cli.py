@@ -208,6 +208,13 @@ class TestSearchAndTable:
         assert doc["value"] == "8"
         assert doc["elements"] == "0 1 3 4"
 
+    def test_search_deeper_than_recursion_limit(self):
+        code, out = run_cli(["search", "--h", "1", "--k", "1000"])
+        assert code == 0
+        doc = parse_document(out)
+        assert doc["value"] == "999"
+        assert doc["optimal"] == "true"
+
     def test_search_oracle(self):
         code, out = run_cli(["search", "--h", "2", "--k", "3", "--oracle"])
         assert code == 0

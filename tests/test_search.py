@@ -1,14 +1,55 @@
 """Branch-and-bound search against the exhaustive oracle."""
 
 import random
+from math import comb
 
 import pytest
 
 from hbasis.arith import GuardError
 from hbasis.bounds import rohrbach
-from hbasis.search import (BudgetExhausted, extremal_n, oracle_exhaustive,
-                           zeta_exact)
+from hbasis.search import (BudgetExhausted, SearchResult, _optimistic_reach,
+                           extremal_n, oracle_exhaustive, zeta_exact)
 from hbasis.sumset import BasisSet, n_of, verify_basis
+
+
+def extremal_n_naive(h, k, node_budget=1_000_000):
+    """Reference: the same depth-first search, recursive, with n_of run from
+    scratch on every prefix."""
+    cap = comb(k + h, h)
+    best_val = -1
+    best_wit = ()
+    nodes = 0
+    exhausted = False
+
+    def dfs(prefix, reach):
+        nonlocal best_val, best_wit, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if len(prefix) == k:
+            if reach > best_val:
+                best_val = reach
+                best_wit = tuple(prefix)
+            return
+        if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
+            return
+        for e in range(prefix[-1] + 1, reach + 2):
+            prefix.append(e)
+            dfs(prefix, n_of(BasisSet(tuple(prefix)), h))
+            prefix.pop()
+            if exhausted:
+                return
+
+    dfs([0], 0)
+    return SearchResult(h=h, k=k, value=best_val, witness=best_wit,
+                        nodes_explored=nodes, proof_of_optimality=not exhausted)
+
+
+def outcome(res):
+    return res.value, res.witness, res.nodes_explored, res.proof_of_optimality
 
 
 class TestExtremalN:
@@ -53,6 +94,37 @@ class TestExtremalN:
         b = extremal_n(2, 5)
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
+
+
+class TestAgainstReference:
+    # Largest k per h at which the reference finishes in about 0.3 s or less.
+    K_MAX = {1: 40, 2: 9, 3: 7, 4: 6, 5: 6, 6: 5}
+
+    def test_matches_reference(self):
+        for h, k_max in self.K_MAX.items():
+            for k in range(1, k_max + 1):
+                assert outcome(extremal_n(h, k)) == outcome(extremal_n_naive(h, k)), (h, k)
+
+    def test_matches_reference_under_budget(self):
+        for budget in (1, 2, 5, 10, 50):
+            assert (outcome(extremal_n(3, 6, budget))
+                    == outcome(extremal_n_naive(3, 6, budget))), budget
+
+
+class TestPinnedLadder:
+    """The benchmark's search ladder, pinned from the recursive search:
+    664,059 nodes in all."""
+
+    LADDER = [
+        (2, 11, 46, (0, 1, 2, 3, 7, 11, 15, 19, 21, 22, 24), 349_134),
+        (3, 8, 70, (0, 1, 4, 5, 15, 18, 27, 34), 125_484),
+        (4, 7, 108, (0, 1, 4, 9, 16, 38, 49), 114_606),
+        (6, 6, 216, (0, 1, 7, 12, 43, 52), 74_835),
+    ]
+
+    def test_ladder(self):
+        for h, k, value, witness, nodes in self.LADDER:
+            assert outcome(extremal_n(h, k)) == (value, witness, nodes, True), (h, k)
 
 
 class TestSuccessorRule:
