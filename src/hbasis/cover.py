@@ -82,13 +82,6 @@ def _gains_fft(fa_conj: np.ndarray, uncovered: np.ndarray, q: int) -> np.ndarray
     return np.rint(np.fft.irfft(spec, q)).astype(np.int64)
 
 
-def gains_naive(A: ResidueSet, uncovered_members) -> list[int]:
-    """Reference gain computation; cross-checked against the FFT path in tests."""
-    q = A.q
-    unc = set(uncovered_members)
-    return [sum(1 for a in A.members if (a + x) % q in unc) for x in range(q)]
-
-
 def _window_len(base_len: int, q: int) -> int:
     """FFT length of the windowed drop for a base inside [0, base_len), or 0.
 

@@ -24,6 +24,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .arith import GuardError, is_prime, prime_factors
+from .sumset import _grow
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,11 @@ def phi_exact(n: int, k: int):
 
     Returns (size, witness) with the lexicographically smallest witness
     among maximizers.  sums[j] is the mask of all j-element multiset sums
-    of the current S.  Adding e grows them for j = 1..k, ascending, as
-    S'_j = S_j | (S'_{j-1} << e).  S u {e} has C(|S|+k, k) k-element
-    multisets, so e is kept iff S'_k has exactly that many bits, that is,
-    iff all its k-sums are distinct.  Guarded: intended for n up to ~60
-    at k = 2.
+    of the current S.  Adding e grows a copy of them by `sumset._grow`,
+    S'_j = S_j | (S'_{j-1} << e) for j = 1..k ascending.  S u {e} has
+    C(|S|+k, k) k-element multisets, so e is kept iff S'_k has exactly that
+    many bits, that is, iff all its k-sums are distinct.  Guarded: intended
+    for n up to ~60 at k = 2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -159,9 +160,8 @@ def phi_exact(n: int, k: int):
         for e in range(start, n + 1):
             if len(S) + (n - e + 1) <= len(best_set):
                 break
-            grown = [1]
-            for j in range(1, k + 1):
-                grown.append(sums[j] | grown[j - 1] << e)
+            grown = sums.copy()
+            _grow(grown, e, k * n)  # no k-sum of [0, n] passes k*n: no clip
             if grown[k].bit_count() == comb(len(S) + k, k):
                 S.append(e)
                 extend(S, grown, e + 1)

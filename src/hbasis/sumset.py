@@ -1,18 +1,17 @@
 """Exact h-fold sumset computation over [0, limit] and over Z_q.
 
-Coverage is a dense bitmask from the `arith` bitset kernel, built by one of
-two dynamic programs; masking to [0, limit] is sound in both because every
-element is non-negative.
-
-- Pass-wise (`coverage_layers`, and so `h_fold_coverage`, `n_of`,
-  `witness` and the B layers that `construct.decompose` reads): pass i+1
-  ORs shifted copies of pass i, one shift per element, so after h-1 passes
-  bit z is set iff z is a sum of exactly h elements (repetition allowed).
-- One element at a time (`verify_basis` only): the j-sums of the elements
-  taken so far grow by each element in ascending order, and the scan for
-  the least gap stops as soon as it finds one among the bits no later
-  element can change.  On large sets most shifts stay short; on the tiny
-  sets of the search it loses to the pass-wise DP.
+Coverage is a dense bitmask from the `arith` bitset kernel, built by one
+recurrence, `_grow`: the j-sums S_j of the elements taken so far (S_0 = 1)
+grow by each element e, S_j |= S_{j-1} << e for j = 1..h ascending, so
+S_{j-1} already holds e (repetition allowed).  An operand longer than
+[0, limit - e] is clipped first; that is sound because every element is
+non-negative.  `coverage_layers` (and so `h_fold_coverage`, `witness` and
+the B layers that `construct.decompose` reads), `_first_gap` (and so
+`verify_basis` and `n_of`) and `sidon.phi_exact` all grow their layers by
+this step.  `search.extremal_n` inlines the same recurrence on purpose: a
+`_grow` call per child made the benchmark's search ladder, (h, k) = (2, 11)
+(3, 8) (4, 7) (6, 6), slower in 6 of 6 alternating runs (median 0.77 s
+inline against 1.23 s with the call, 2-core host).
 
 A subset of Z_q (ResidueSet) is a mask too, over [0, q-1]; shifts in Z_q
 are rotations of that mask.
@@ -120,26 +119,40 @@ class Certificate:
     first_gap: int | None = None
 
 
-def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
-    """Bitmasks of the exactly-i sumsets for i = 1..h, each clipped to [0, limit].
+def _grow(S: list[int], e: int, limit: int) -> None:
+    """Add element e to the layer list S = [S_0, ..., S_h] in place.
 
-    layers[i] (1-based; layers[0] unused) has bit z set iff z is a sum of
-    exactly i elements of A.  Shared by witness backtracking.
+    S_j |= S_{j-1} << e for j = 1..h ascending.  An operand is clipped to
+    [0, limit - e] only when it is longer, so no layer grows past limit;
+    the clip mask is built at the first such operand and lives for one call.
+    """
+    room = limit - e
+    clip = None
+    for j in range(1, len(S)):
+        src = S[j - 1]
+        if src.bit_length() > room + 1:
+            if clip is None:
+                clip = window(room)
+            src &= clip
+        S[j] |= src << e
+
+
+def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
+    """Bitmasks of the exactly-i sumsets for i = 0..h, each clipped to [0, limit].
+
+    layers[i] has bit z set iff z is a sum of exactly i elements of A
+    (layers[0] = 1, the empty sum).  Shared by witness backtracking.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    clip = window(limit)
-    elems = [a for a in A.elements if a <= limit]
-    layers = [0] * (h + 1)
-    layers[1] = mask_of(elems)
-    for i in range(2, h + 1):
-        cur = layers[i - 1]
-        nxt = 0
-        for a in elems:
-            nxt |= cur << a
-        layers[i] = nxt & clip
+    window(limit)  # the MAX_MASK_BITS guard, before any layer grows
+    layers = [1] + [0] * h
+    for e in A.elements:
+        if e > limit:
+            break
+        _grow(layers, e, limit)
     return layers
 
 
@@ -160,11 +173,8 @@ def n_of(A: BasisSet, h: int):
         raise ValueError("h must be >= 1")
     if A.elements[0] != 0:
         return None
-    # Pass-wise on purpose: as n_of, verify_basis's one-element recurrence
-    # took 14.0-15.6 s against 8.3 s on the benchmark's search ladder
-    # (h, k) = (2, 11) (3, 8) (4, 7) (6, 6) (2-core host, two runs each).
     limit = h * A.max
-    gap = h_fold_coverage(A, h, limit).first_gap()
+    gap = _first_gap(A.elements, h, limit)
     return limit if gap is None else gap - 1
 
 
@@ -183,27 +193,19 @@ def verify_basis(A: BasisSet, h: int, n: int) -> Certificate:
 def _first_gap(elements: tuple[int, ...], h: int, n: int):
     """Least z in [0, n] that is no sum of exactly h elements, or None.
 
-    Ascending one-element recurrence: S_j holds the j-sums of the elements
-    taken so far, and element e updates S_j |= S_{j-1} << e for j = 1..h in
-    ascending order, so S_{j-1} already holds e (repetition).  Each operand
-    is clipped to [0, n - e], so no layer ever grows past n.  After element
-    e_i no later sum can fall below e_{i+1}, so the bits of S_h below it are
-    final; they are scanned on a doubling schedule (O(n) bits in total) and
-    the first gap found is the least one.
+    The layers grow by `_grow` with limit n, one element at a time in
+    ascending order.  After element e_i no later sum can fall below e_{i+1},
+    so the bits of S_h below it are final; they are scanned on a doubling
+    schedule (O(n) bits in total) and the first gap found is the least one.
     """
-    clip = window(n)  # the MAX_MASK_BITS guard, before any layer grows
+    window(n)  # the MAX_MASK_BITS guard, before any layer grows
     elems = [e for e in elements if e <= n]
     if not elems or elems[0] > 0:
         return 0  # 0 is a sum of h elements only as 0 + ... + 0
     S = [1] + [0] * h
     due = 0
     for i, e in enumerate(elems):
-        room = n - e
-        for j in range(1, h + 1):
-            src = S[j - 1]
-            if src.bit_length() > room + 1:
-                src &= clip >> e
-            S[j] |= src << e
+        _grow(S, e, n)
         final = elems[i + 1] - 1 if i + 1 < len(elems) else n
         if final >= due:
             gap = lowest_clear(S[h], final)

@@ -11,9 +11,16 @@ from hbasis import cover
 from hbasis.arith import bits_to_sorted, rotate, to_bools
 from hbasis.construct import build_theorem1, plan_params
 from hbasis.cover import (_gains_fft, _subtract_drop, _window_len,
-                          complement_size_bound, gains_naive,
-                          greedy_shift_cover, k_complement)
+                          complement_size_bound, greedy_shift_cover,
+                          k_complement)
 from hbasis.sumset import ResidueSet, residue_sumset
+
+
+def gains_naive(A: ResidueSet, uncovered_members) -> list[int]:
+    """Reference gain computation, cross-checked against the FFT path."""
+    q = A.q
+    unc = set(uncovered_members)
+    return [sum(1 for a in A.members if (a + x) % q in unc) for x in range(q)]
 
 
 class TestGreedyShiftCover:

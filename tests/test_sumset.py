@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbasis.construct import digit_basis
-from hbasis.sumset import (BasisSet, Certificate, ResidueSet, h_fold_coverage,
-                           n_of, residue_sumset, verify_basis, witness)
+from hbasis.sumset import (BasisSet, Certificate, ResidueSet, coverage_layers,
+                           h_fold_coverage, n_of, residue_sumset, verify_basis,
+                           witness)
 
 
 def brute_coverage(elements, h, limit):
@@ -63,6 +64,16 @@ class TestCoverage:
         with pytest.raises(ValueError):
             h_fold_coverage(BasisSet((0, 1)), 0, 4)
 
+    @given(small_basis, st.integers(1, 5), st.integers(0, 120))
+    @settings(max_examples=150, deadline=None)
+    def test_every_layer_matches_brute_enumeration(self, A, h, limit):
+        # decompose's backtracking reads the lower layers, not only the top
+        layers = coverage_layers(A, h, limit)
+        assert len(layers) == h + 1 and layers[0] == 1
+        for i in range(1, h + 1):
+            expected = sum(1 << z for z in brute_coverage(A.elements, i, limit))
+            assert layers[i] == expected, i
+
     @given(small_basis, st.integers(1, 4), st.integers(0, 120))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_enumeration(self, A, h, limit):
@@ -92,9 +103,25 @@ class TestNOf:
         assert n_of(BasisSet((0, 1, 3)), 2) == 4
         assert n_of(BasisSet((1, 2)), 2) is None
         assert n_of(BasisSet((0, 1, 3, 4)), 2) == 8
+        assert n_of(BasisSet((0, 1, 2, 5)), 1) == 2
+        assert n_of(BasisSet((2, 3)), 1) is None
 
     def test_singleton_zero(self):
         assert n_of(BasisSet((0,)), 3) == 0
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True),
+           st.booleans(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_enumeration(self, elems, with_zero, h):
+        A = BasisSet.from_iterable(elems + [0] if with_zero else elems)
+        if 0 not in A:
+            assert n_of(A, h) is None
+            return
+        covered = brute_coverage(A.elements, h, h * A.max)
+        n = 0
+        while n + 1 in covered:
+            n += 1
+        assert n_of(A, h) == n
 
 
 class TestVerify:
@@ -139,9 +166,10 @@ class TestVerify:
            st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
                      st.integers(0, 200)))
     @settings(max_examples=300, deadline=None)
-    def test_matches_pass_wise_dp(self, elems, with_zero, h, n):
+    def test_matches_brute_enumeration(self, elems, with_zero, h, n):
         A = BasisSet.from_iterable(elems + [0] if with_zero else elems)
-        gap = h_fold_coverage(A, h, n).first_gap()
+        covered = brute_coverage(A.elements, h, n)
+        gap = next((z for z in range(n + 1) if z not in covered), None)
         cert = verify_basis(A, h, n)
         assert cert.ok == (gap is None)
         assert cert.first_gap == gap
