@@ -5,9 +5,10 @@ set iff v is in the set.  Every conversion and layout operation on such
 masks lives here: building a mask, unpacking it to a numpy bool array
 (the one mask-to-numpy conversion) or decoding it to a sorted tuple, the
 [0, limit] window and its lowest clear bit, rotation in Z_q, and folding
-[0, limit] into Z_q.  Windows wider than MAX_MASK_BITS are refused with
-GuardError before anything is allocated, and so are Z_q gains FFTs longer
-than MAX_FFT_LEN.
+[0, limit] into Z_q.  The size guards are comparisons: `check_mask_bits`
+refuses a mask over [0, limit] wider than MAX_MASK_BITS with GuardError,
+and callers test q against MAX_FFT_LEN before any gains FFT.  A window
+mask is built only where a mask operation uses it, never to run a guard.
 """
 
 from __future__ import annotations
@@ -37,18 +38,7 @@ def iroot_ceil(n: int, k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def next_prime_at_least(n: int) -> int:
@@ -93,19 +83,24 @@ def bits_to_sorted(bits: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(to_bools(bits, bits.bit_length())).tolist())
 
 
-def window(limit: int) -> int:
-    """Mask of [0, limit]; GuardError before allocation past MAX_MASK_BITS bits."""
+def check_mask_bits(limit: int) -> None:
+    """GuardError if a mask over [0, limit] would pass MAX_MASK_BITS bits; allocates nothing."""
     if limit + 1 > MAX_MASK_BITS:
         raise GuardError(f"bitmask over [0, {limit}] exceeds {MAX_MASK_BITS} bits")
+
+
+def window(limit: int) -> int:
+    """Mask of [0, limit], after the check_mask_bits guard."""
+    check_mask_bits(limit)
     return (1 << (limit + 1)) - 1
 
 
 def lowest_clear(bits: int, limit: int):
-    """Least v in [0, limit] whose bit is clear, or None if all are set."""
-    hole = ~bits & window(limit)
-    if hole == 0:
-        return None
-    return (hole & -hole).bit_length() - 1
+    """Least v in [0, limit] whose bit is clear in the non-negative mask bits, or None."""
+    check_mask_bits(limit)
+    # bits ^ (bits + 1) is all ones over [0, v], v the lowest clear bit
+    v = (bits ^ (bits + 1)).bit_length() - 1
+    return v if v <= limit else None
 
 
 def rotate(mask: int, shift: int, q: int) -> int:

@@ -1,9 +1,11 @@
 """Single entry point: construct, verify, sidon, complement, bounds, search, table.
 
-Data payloads go to stdout or --emit FILE and are byte-identical across
-reruns with identical inputs; wall time and other diagnostics go to
-stderr.  Exit codes: 0 success/verified, 1 verification or optimality
-failure, 2 infeasible or invalid parameters, 3 internal guard tripped.
+Each subcommand handler returns (exit code, payload text) and writes
+nothing; `main` is the one place that writes a payload, to stdout or
+--emit FILE.  Payloads are byte-identical across reruns with identical
+inputs; wall time and other diagnostics go to stderr.  Exit codes: 0
+success/verified, 1 verification or optimality failure, 2 infeasible or
+invalid parameters, 3 internal guard tripped.
 """
 
 from __future__ import annotations
@@ -19,26 +21,24 @@ from .arith import GuardError
 from .basisfile import (format_document, read_basis_document,
                         read_residue_document, render_value)
 from .bounds import bound_reports, rohrbach
-from .construct import (InfeasibleParameters, build_theorem1, plan_params)
+from .construct import build_theorem1, plan_params
 from .cover import complement_size_bound, k_complement
 from .search import BudgetExhausted, extremal_n, oracle_exhaustive
 from .sidon import bose_chowla, is_bk
 from .sumset import BasisSet, ResidueSet, verify_basis
 
 
-def _manifest(subcommand: str, params: dict) -> list[tuple[str, object]]:
+def _document(subcommand: str, params: dict, outcome: int, data: list) -> tuple[int, str]:
+    """(outcome, payload): the manifest, its outcome, then the data fields.
+
+    Every `key = value` payload is framed here; a parameter that is None is
+    left out of the manifest.
+    """
     fields = [("manifest.tool", f"hbasis {__version__}"),
               ("manifest.subcommand", subcommand)]
     fields += [(f"manifest.{k}", v) for k, v in params.items() if v is not None]
-    return fields
-
-
-def _write_payload(args, text: str):
-    if getattr(args, "emit", None):
-        with open(args.emit, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fields.append(("manifest.outcome", outcome))
+    return outcome, format_document(fields + data)
 
 
 def emit_table(rows, columns=None) -> str:
@@ -63,7 +63,7 @@ def emit_table(rows, columns=None) -> str:
     return buf.getvalue()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     with open(args.set) as fh:
         file_h, file_n, elements = read_basis_document(fh.read())
     h = args.h if args.h is not None else file_h
@@ -72,125 +72,96 @@ def _cmd_verify(args) -> int:
         raise ValueError("h and n must come from flags or the basis file")
     basis = BasisSet.from_iterable(elements)
     cert = verify_basis(basis, h, n)
-    fields = _manifest("verify", {"h": h, "n": n, "set": args.set})
-    fields += [("manifest.outcome", 0 if cert.ok else 1),
-               ("h", h), ("n", n), ("elements", basis.elements),
-               ("ok", cert.ok)]
+    data = [("h", h), ("n", n), ("elements", basis.elements), ("ok", cert.ok)]
     if cert.first_gap is not None:
-        fields.append(("first_gap", cert.first_gap))
-    _write_payload(args, format_document(fields))
-    return 0 if cert.ok else 1
+        data.append(("first_gap", cert.first_gap))
+    return _document("verify", {"h": h, "n": n, "set": args.set},
+                     0 if cert.ok else 1, data)
 
 
-def _cmd_construct(args) -> int:
-    try:
-        plan = plan_params(args.n, args.h, args.k, args.a)
-    except InfeasibleParameters as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+def _cmd_construct(args) -> tuple[int, str]:
+    plan = plan_params(args.n, args.h, args.k, args.a)
     result = build_theorem1(plan)
-    outcome = 0 if result.verified else 1
-    fields = _manifest("construct", {"n": args.n, "h": args.h,
-                                     "k": plan.k, "a": plan.a,
-                                     "mode": plan.feasibility})
-    fields += [("manifest.outcome", outcome)]
-    for name in ("p", "k", "a", "m", "q", "p_prime"):
-        fields.append((f"plan.{name}", getattr(plan, name)))
-    fields.append(("plan.tau", plan.tau))
-    fields.append(("plan.feasibility", plan.feasibility))
-    for comp, size in result.sizes.items():
-        fields.append((f"sizes.{comp}", size))
-    fields += [("ledger.size_ratio", result.size_ratio),
-               ("ledger.complement_over_budget", result.complement.over_budget),
-               ("verified", result.verified)]
+    data = [(f"plan.{name}", getattr(plan, name))
+            for name in ("p", "k", "a", "m", "q", "p_prime", "tau", "feasibility")]
+    data += [(f"sizes.{comp}", size) for comp, size in result.sizes.items()]
+    data += [("ledger.size_ratio", result.size_ratio),
+             ("ledger.complement_over_budget", result.complement.over_budget),
+             ("verified", result.verified)]
     if result.first_gap is not None:
-        fields.append(("first_gap", result.first_gap))
-    fields += [("h", args.h), ("n", args.n), ("elements", result.basis.elements)]
-    _write_payload(args, format_document(fields))
-    return outcome
+        data.append(("first_gap", result.first_gap))
+    data += [("h", args.h), ("n", args.n), ("elements", result.basis.elements)]
+    return _document("construct", {"n": args.n, "h": args.h, "k": plan.k,
+                                   "a": plan.a, "mode": plan.feasibility},
+                     0 if result.verified else 1, data)
 
 
-def _cmd_sidon(args) -> int:
+def _cmd_sidon(args) -> tuple[int, str]:
     sidon = bose_chowla(args.p, args.k)
     spec = sidon.field
     ok_mod = is_bk(sidon.elements, args.k, sidon.order_modulus)
     ok_int = is_bk(sidon.elements, args.k)
-    fields = _manifest("sidon", {"p": args.p, "k": args.k})
-    ok = ok_mod and ok_int
-    fields += [("manifest.outcome", 0 if ok else 1),
-               ("provenance.p", spec.p), ("provenance.k", spec.k),
-               ("provenance.modulus", spec.modulus),
-               ("k", args.k), ("order_modulus", sidon.order_modulus),
-               ("elements", sidon.elements),
-               ("bk_ok_mod", ok_mod), ("bk_ok_int", ok_int)]
-    _write_payload(args, format_document(fields))
-    return 0 if ok else 1
+    return _document("sidon", {"p": args.p, "k": args.k},
+                     0 if ok_mod and ok_int else 1,
+                     [("provenance.p", spec.p), ("provenance.k", spec.k),
+                      ("provenance.modulus", spec.modulus),
+                      ("k", args.k), ("order_modulus", sidon.order_modulus),
+                      ("elements", sidon.elements),
+                      ("bk_ok_mod", ok_mod), ("bk_ok_int", ok_int)])
 
 
-def _cmd_complement(args) -> int:
+def _cmd_complement(args) -> tuple[int, str]:
     with open(args.set) as fh:
         q, members = read_residue_document(fh.read())
     if args.q is not None and args.q != q:
         raise ValueError("--q disagrees with the residue-set file")
     base = ResidueSet.from_iterable(q, members)
     family = k_complement(base, args.k)
-    fields = _manifest("complement", {"q": q, "k": args.k, "set": args.set})
-    fields += [("manifest.outcome", 0 if family.complete else 1),
-               ("q", q), ("k", args.k), ("base", base.members)]
-    for i, X in enumerate(family.families, start=1):
-        fields.append((f"family.{i}", X.members))
-    fields += [("family_sizes", family.family_sizes),
-               ("total_shifts", family.total_shifts),
-               ("union_size", family.union_size),
-               ("bound", complement_size_bound(q, len(base), args.k) if q >= 2 else 0),
-               ("complete", family.complete),
-               ("over_budget", family.over_budget)]
-    _write_payload(args, format_document(fields))
-    return 0 if family.complete else 1
+    data = [("q", q), ("k", args.k), ("base", base.members)]
+    data += [(f"family.{i}", X.members) for i, X in enumerate(family.families, start=1)]
+    data += [("family_sizes", family.family_sizes),
+             ("total_shifts", family.total_shifts),
+             ("union_size", family.union_size),
+             ("bound", complement_size_bound(q, len(base), args.k) if q >= 2 else 0),
+             ("complete", family.complete),
+             ("over_budget", family.over_budget)]
+    return _document("complement", {"q": q, "k": args.k, "set": args.set},
+                     0 if family.complete else 1, data)
 
 
-def _cmd_bounds(args) -> int:
-    if (args.k is None) == (args.n is None):
-        raise ValueError("give exactly one of --k, --n")
+def _cmd_bounds(args) -> tuple[int, str]:
     reports = bound_reports(args.h, k=args.k, n=args.n)
     if args.format == "csv":
-        rows = [{"name": r.name, "direction": r.direction,
-                 "value": r.value,
-                 "dropped": r.asymptotic_terms_dropped or "",
-                 "note": r.note or ""} for r in reports]
-        _write_payload(args, emit_table(rows))
-    else:
-        fields = _manifest("bounds", {"h": args.h, "k": args.k, "n": args.n})
-        fields.append(("manifest.outcome", 0))
-        for r in reports:
-            fields.append((f"bound.{r.name}.value", r.value))
-            fields.append((f"bound.{r.name}.direction", r.direction))
-            if r.asymptotic_terms_dropped:
-                fields.append((f"bound.{r.name}.dropped", r.asymptotic_terms_dropped))
-            if r.note:
-                fields.append((f"bound.{r.name}.note", r.note))
-        _write_payload(args, format_document(fields))
-    return 0
+        return 0, emit_table({"name": r.name, "direction": r.direction,
+                              "value": r.value,
+                              "dropped": r.asymptotic_terms_dropped or "",
+                              "note": r.note or ""} for r in reports)
+    data = []
+    for r in reports:
+        data.append((f"bound.{r.name}.value", r.value))
+        data.append((f"bound.{r.name}.direction", r.direction))
+        if r.asymptotic_terms_dropped:
+            data.append((f"bound.{r.name}.dropped", r.asymptotic_terms_dropped))
+        if r.note:
+            data.append((f"bound.{r.name}.note", r.note))
+    return _document("bounds", {"h": args.h, "k": args.k, "n": args.n}, 0, data)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, str]:
     if args.oracle:
         res = oracle_exhaustive(args.h, args.k)
     else:
         res = extremal_n(args.h, args.k, args.budget)
-    outcome = 0 if res.proof_of_optimality else 1
-    fields = _manifest("search", {"h": args.h, "k": args.k,
-                                  "budget": args.budget, "oracle": args.oracle})
-    fields += [("manifest.outcome", outcome),
-               ("h", args.h), ("k", args.k),
-               ("value", res.value), ("elements", res.witness),
-               ("nodes_explored", res.nodes_explored),
-               ("optimal", res.proof_of_optimality)]
-    _write_payload(args, format_document(fields))
-    return outcome
+    return _document("search", {"h": args.h, "k": args.k,
+                                "budget": args.budget, "oracle": args.oracle},
+                     0 if res.proof_of_optimality else 1,
+                     [("h", args.h), ("k", args.k),
+                      ("value", res.value), ("elements", res.witness),
+                      ("nodes_explored", res.nodes_explored),
+                      ("optimal", res.proof_of_optimality)])
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, str]:
     rows = []
     all_optimal = True
     for k in range(args.k_min, args.k_max + 1):
@@ -201,8 +172,7 @@ def _cmd_table(args) -> int:
                      "rohrbach_lower": lo, "rohrbach_upper": hi,
                      "witness": " ".join(str(x) for x in res.witness)})
     columns = ["h", "k", "value", "rohrbach_lower", "rohrbach_upper", "witness"]
-    _write_payload(args, emit_table(rows, columns))
-    return 0 if all_optimal else 1
+    return 0 if all_optimal else 1, emit_table(rows, columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +248,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        code, payload = args.func(args)
+        if args.emit:
+            with open(args.emit, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
     except (GuardError, BudgetExhausted, OverflowError) as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, factorial, log
 
-from .arith import (MAX_MASK_BITS, GuardError, bits_to_sorted, fold, iroot_ceil,
+from .arith import (bits_to_sorted, check_mask_bits, fold, iroot_ceil,
                     next_prime_at_least)
 from .cover import ComplementFamily, complement_size_bound, k_complement
 from .sidon import bose_chowla
@@ -155,8 +155,7 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n + 1 > MAX_MASK_BITS:
-        raise GuardError(f"n + 1 exceeds the {MAX_MASK_BITS}-bit verification window")
+    check_mask_bits(n)
     if h < 3:
         raise InfeasibleParameters("pipeline needs h >= 3; use digit_basis or search")
     if (k is None) != (a is None):

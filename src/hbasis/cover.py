@@ -166,12 +166,14 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
     """Greedy k-complement of A in Z_q.
 
     Rounds 1..k-1 grow the base with budget t = ceil((q ln q / |A|)^{1/k});
-    the final round gets t + ceil(ln q).  The final round runs greedy to a
-    full cover; over_budget records that it needed more than its budget.
-    Completeness is re-verified through the sumset module, never assumed:
-    the grown base A + X_1 + ... + X_{k-1} plus the final family must be
-    all of Z_q.  q over MAX_FFT_LEN raises GuardError before the q-bit
-    target mask is allocated.
+    each targets all of Z_q, so the grown base A + X_1 + ... + X_j is Z_q
+    minus that round's greedy remainder.  The final round gets
+    t + ceil(ln q) and runs greedy to a full cover; over_budget records
+    that it needed more than its budget.  Completeness is re-verified
+    through the sumset module, never assumed: the grown base
+    A + X_1 + ... + X_{k-1} plus the final family must be all of Z_q.  q
+    over MAX_FFT_LEN raises GuardError before the q-bit target mask is
+    allocated.
     """
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
@@ -190,7 +192,7 @@ def k_complement(A: ResidueSet, k: int) -> ComplementFamily:
     for _ in range(k - 1):
         res = greedy_shift_cover(cur, full, t)
         families.append(res.X)
-        cur = residue_sumset(cur, [res.X])
+        cur = ResidueSet(q, full.bits ^ res.remainder.bits)
 
     res = greedy_shift_cover(cur, full, q)
     over_budget = len(res.picks) > t + ceil(log(q))

@@ -22,7 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .arith import bits_to_sorted, lowest_clear, mask_of, rotate, window
+from .arith import (bits_to_sorted, check_mask_bits, lowest_clear, mask_of,
+                    rotate, window)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
         raise ValueError("h must be >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    window(limit)  # the MAX_MASK_BITS guard, before any layer grows
+    check_mask_bits(limit)
     layers = [1] + [0] * h
     for e in A.elements:
         if e > limit:
@@ -198,7 +199,7 @@ def _first_gap(elements: tuple[int, ...], h: int, n: int):
     so the bits of S_h below it are final; they are scanned on a doubling
     schedule (O(n) bits in total) and the first gap found is the least one.
     """
-    window(n)  # the MAX_MASK_BITS guard, before any layer grows
+    check_mask_bits(n)
     elems = [e for e in elements if e <= n]
     if not elems or elems[0] > 0:
         return 0  # 0 is a sum of h elements only as 0 + ... + 0

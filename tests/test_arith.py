@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbasis.arith import (MAX_MASK_BITS, GuardError, bits_to_sorted, fold,
-                          iroot_ceil, lowest_clear, mask_of, rotate, to_bools,
+                          iroot_ceil, is_prime, lowest_clear, mask_of,
+                          next_prime_at_least, prime_factors, rotate, to_bools,
                           window)
 
 
@@ -144,9 +145,33 @@ class TestWindow:
         assert lowest_clear(0b1011, 3) == 2
         assert lowest_clear(0b1111, 3) is None
         assert lowest_clear(0b1111, 4) == 4
+        # bits set past limit do not count
+        assert lowest_clear(0b11110111, 2) is None
+        assert lowest_clear(0b1011 | 1 << 100, 3) == 2
+        full = (1 << 200) - 1
+        assert lowest_clear(full, 150) is None
+        assert lowest_clear(full ^ 1 << 150, 150) == 150
+        assert lowest_clear(full ^ 1 << 151, 150) is None
 
     def test_guard_trips_before_allocation(self):
         with pytest.raises(GuardError):
             window(MAX_MASK_BITS)
         with pytest.raises(GuardError):
             lowest_clear(0, 10 ** 12)
+
+
+class TestPrimes:
+    def test_against_sieve(self):
+        limit = 5000
+        sieve = [False, False] + [True] * (limit - 2)
+        for d in range(2, int(limit ** 0.5) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(sieve[d * d::d])
+        primes = [v for v in range(limit) if sieve[v]]
+        for n in range(-5, limit):
+            assert is_prime(n) == (n >= 0 and sieve[n]), n
+        for n in range(2, limit):
+            factors = [p for p in primes if n % p == 0]
+            assert prime_factors(n) == factors, n
+        for n in range(-5, primes[-1] + 1):
+            assert next_prime_at_least(n) == next(p for p in primes if p >= n), n

@@ -6,6 +6,8 @@ from math import ceil, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbasis import cover
 from hbasis.arith import bits_to_sorted, rotate, to_bools
@@ -225,6 +227,16 @@ class TestKComplement:
             A = ResidueSet.from_iterable(q, rng.sample(range(q), rng.randint(1, q)))
             fam = k_complement(A, k)
             assert (len(residue_sumset(A, fam.families)) == q) == fam.complete
+
+    @given(st.integers(1, 96), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grown_base_is_full_minus_remainder(self, q, data):
+        # the identity k_complement grows its base by in rounds 1..k-1
+        A = ResidueSet.from_iterable(
+            q, data.draw(st.lists(st.integers(0, q - 1), min_size=1, unique=True)))
+        full = ResidueSet.full(q)
+        res = greedy_shift_cover(A, full, data.draw(st.integers(0, q)))
+        assert full.bits ^ res.remainder.bits == residue_sumset(A, [res.X]).bits
 
     def test_budget_audit(self):
         rng = random.Random(11)

@@ -1,7 +1,9 @@
 """Sumset oracle: worked examples, brute-force equivalence, and properties."""
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,21 @@ def brute_coverage(elements, h, limit):
     """Direct enumeration of all h-multisets; the independent oracle."""
     return {s for combo in combinations_with_replacement(elements, h)
             if (s := sum(combo)) <= limit}
+
+
+def passwise_coverage(elements, h, limit):
+    """Exactly-h sums in [0, limit] by a pass-wise layer DP over numpy bools:
+    layer j is one shifted OR of layer j - 1 per element.  Shares no code
+    with the bitmask recurrence in hbasis.sumset."""
+    layer = np.zeros(limit + 1, dtype=bool)
+    layer[0] = True
+    for _ in range(h):
+        nxt = np.zeros_like(layer)
+        for a in elements:
+            if a <= limit:
+                nxt[a:] |= layer[:limit + 1 - a]
+        layer = nxt
+    return layer
 
 
 small_basis = st.lists(st.integers(0, 50), min_size=1, max_size=6,
@@ -150,12 +167,26 @@ class TestVerify:
             verify_basis(BasisSet((0, 1)), h, n)
 
     def test_far_gap(self):
-        # the gap lies past 95% of [0, n], long after the first checks
+        # the gap lies past 95% of [0, n], long after the first checks.
+        # Without 21*22^3 a top digit of 21 costs two addends, which leaves
+        # two for the lower digits: the least sum needing three is the gap.
         n = 22 ** 4 - 1
         A = BasisSet(digit_basis(22, 4).elements[:-1])
-        gap = h_fold_coverage(A, 4, n).first_gap()
-        assert gap > 0.95 * n
+        gap = 21 * 22 ** 3 + 22 ** 2 + 22 + 1
+        assert gap == 224_115 > 0.95 * n
+        assert int(np.argmin(passwise_coverage(A.elements, 4, n))) == gap
         assert verify_basis(A, 4, n) == Certificate(ok=False, first_gap=gap)
+
+    def test_early_gap_allocates_no_window(self):
+        # {0, 1} misses 3 at h = 2; no mask over [0, 2**28] (32 MB) is built
+        tracemalloc.start()
+        try:
+            cert = verify_basis(BasisSet((0, 1)), 2, 2 ** 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert == Certificate(ok=False, first_gap=3)
+        assert peak < 16 * 2 ** 20
 
     def test_false_claim_gap_at_one(self):
         A = BasisSet.from_iterable(set(digit_basis(10, 4).elements) - {1})
