@@ -5,20 +5,20 @@ set iff v is in the set.  Every conversion and layout operation on such
 masks lives here: building a mask, unpacking it to a numpy bool array
 (the one mask-to-numpy conversion) or decoding it to a sorted tuple, the
 [0, limit] window and its lowest clear bit, rotation in Z_q, and folding
-[0, limit] into Z_q.  The size guards are comparisons: `check_mask_bits`
-refuses a mask over [0, limit] wider than MAX_MASK_BITS with GuardError,
-and callers test q against MAX_FFT_LEN before any gains FFT.  A window
-mask is built only where a mask operation uses it, never to run a guard.
+[0, limit] into Z_q.  One memory budget, MAX_BYTES, bounds every
+exhaustive routine: each compares its peak model (`sumset.layers_bytes`,
+`cover.gains_bytes`) with it through `check_bytes` before it allocates, and
+`window` keeps a backstop, a mask over [0, limit].  No guard allocates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_MASK_BITS = 1 << 32
-# a full gains pass holds ~45 bytes per residue (uint8 unpack, float64
-# input, complex spectrum, float64 and int64 outputs): ~3 GB at 2**26
-MAX_FFT_LEN = 1 << 26
+# 2 GiB: above every benchmarked and pinned instance (verify at h = 6,
+# n = 22**6 - 1 models ~136 MB) and below the gains model at q = 2**26 + 1
+# (~2.28e9 bytes), so no gains pass runs on more than 2**26 points
+MAX_BYTES = 1 << 31
 
 
 class GuardError(RuntimeError):
@@ -83,21 +83,26 @@ def bits_to_sorted(bits: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(to_bools(bits, bits.bit_length())).tolist())
 
 
-def check_mask_bits(limit: int) -> None:
-    """GuardError if a mask over [0, limit] would pass MAX_MASK_BITS bits; allocates nothing."""
-    if limit + 1 > MAX_MASK_BITS:
-        raise GuardError(f"bitmask over [0, {limit}] exceeds {MAX_MASK_BITS} bits")
+def check_bytes(need: int, what: str) -> None:
+    """GuardError if `what` would hold more than MAX_BYTES at its peak; allocates nothing."""
+    if need > MAX_BYTES:
+        raise GuardError(f"{what} would pass the {MAX_BYTES}-byte memory budget")
+
+
+def mask_bytes(limit: int) -> int:
+    """Bytes of a Python int mask over [0, limit]: CPython keeps 30 bits per 4-byte digit."""
+    return 4 * (limit // 30 + 1)
 
 
 def window(limit: int) -> int:
-    """Mask of [0, limit], after the check_mask_bits guard."""
-    check_mask_bits(limit)
+    """Mask of [0, limit], after the budget check on that mask."""
+    check_bytes(mask_bytes(limit), f"a mask over [0, {limit}]")
     return (1 << (limit + 1)) - 1
 
 
 def lowest_clear(bits: int, limit: int):
     """Least v in [0, limit] whose bit is clear in the non-negative mask bits, or None."""
-    check_mask_bits(limit)
+    check_bytes(mask_bytes(limit), f"a mask over [0, {limit}]")
     # bits ^ (bits + 1) is all ones over [0, v], v the lowest clear bit
     v = (bits ^ (bits + 1)).bit_length() - 1
     return v if v <= limit else None

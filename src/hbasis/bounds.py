@@ -8,9 +8,10 @@ never presented as exact bounds.  Logarithms are natural throughout.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, e, log
+from math import ceil, comb, e, gcd, lgamma, log, log10
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,16 @@ class BoundReport:
 
 
 def rohrbach(h: int, k: int) -> tuple[Fraction, int]:
-    """(k/h)^h <= n(h,k) <= C(k+h, h)."""
+    """(k/h)^h <= n(h,k) <= C(k+h, h); ValueError, before computing them, if
+    either passes Python's int printing limit (sys.get_int_max_str_digits())."""
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
+    # (k/h)^h is (k/g)^h / (h/g)^h, g = gcd(h, k); a limit of 0 means none
+    digits = max(h * log10(max(h, k) // gcd(h, k)),
+                 (lgamma(h + k + 1) - lgamma(h + 1) - lgamma(k + 1)) / log(10))
+    if 0 < (limit := sys.get_int_max_str_digits()) <= digits:
+        raise ValueError(f"rohrbach bounds at h={h}, k={k} run to {ceil(digits)} digits, "
+                         f"past Python's {limit}-digit limit for printing an int")
     return Fraction(k, h) ** h, comb(k + h, h)
 
 

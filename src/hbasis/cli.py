@@ -17,12 +17,12 @@ import sys
 import time
 
 from . import __version__
-from .arith import GuardError
+from .arith import GuardError, check_bytes
 from .basisfile import (format_document, read_basis_document,
                         read_residue_document, render_value)
 from .bounds import bound_reports, rohrbach
 from .construct import build_theorem1, plan_params
-from .cover import complement_size_bound, k_complement
+from .cover import complement_size_bound, gains_bytes, k_complement
 from .search import BudgetExhausted, extremal_n, oracle_exhaustive
 from .sidon import bose_chowla, is_bk
 from .sumset import BasisSet, ResidueSet, verify_basis
@@ -115,6 +115,7 @@ def _cmd_complement(args) -> tuple[int, str]:
         q, members = read_residue_document(fh.read())
     if args.q is not None and args.q != q:
         raise ValueError("--q disagrees with the residue-set file")
+    check_bytes(gains_bytes(q), f"gains over Z_{q}")
     base = ResidueSet.from_iterable(q, members)
     family = k_complement(base, args.k)
     data = [("q", q), ("k", args.k), ("base", base.members)]
@@ -165,9 +166,9 @@ def _cmd_table(args) -> tuple[int, str]:
     rows = []
     all_optimal = True
     for k in range(args.k_min, args.k_max + 1):
+        lo, hi = rohrbach(args.h, k)  # refuses an unprintable bound before the search
         res = extremal_n(args.h, k, args.budget)
         all_optimal = all_optimal and res.proof_of_optimality
-        lo, hi = rohrbach(args.h, k)
         rows.append({"h": args.h, "k": k, "value": res.value,
                      "rohrbach_lower": lo, "rohrbach_upper": hi,
                      "witness": " ".join(str(x) for x in res.witness)})

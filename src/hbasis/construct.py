@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, factorial, log
 
-from .arith import (bits_to_sorted, check_mask_bits, fold, iroot_ceil,
+from .arith import (bits_to_sorted, check_bytes, fold, iroot_ceil,
                     next_prime_at_least)
-from .cover import ComplementFamily, complement_size_bound, k_complement
+from .cover import ComplementFamily, complement_size_bound, gains_bytes, k_complement
 from .sidon import bose_chowla
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,
-                     coverage_layers, verify_basis)
+                     coverage_layers, layers_bytes, verify_basis)
 
 
 def tau() -> float:
@@ -151,11 +151,11 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     feasible for large h; at desk scale the grid enumerates 1 <= k <= a <=
     h-2, keeps pairs whose decomposition headroom holds, and minimizes the
     predicted |G| ledger.  Explicit overrides bypass both after validation.
-    An n too large for the exhaustive verify is refused before planning.
+    A verify, gains or B layer stack over the memory budget is refused first.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    check_mask_bits(n)
+    check_bytes(layers_bytes(h, n), f"verify over [0, {n}] at h = {h}")
     if h < 3:
         raise InfeasibleParameters("pipeline needs h >= 3; use digit_basis or search")
     if (k is None) != (a is None):
@@ -163,25 +163,32 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     if k is not None:
         if not (1 <= k <= a < h):
             raise InfeasibleParameters(f"override violates 1 <= k <= a < h: k={k}, a={a}")
-        return _plan_for(n, h, k, a, "override")
+        feasibility = "override"
+    else:
+        k = ceil(log(log(n)) / _TAU)
+        a = k + ceil(2 * log(h))
+        feasibility = "formula-derived"
+    if not 1 <= k <= a < h:  # the formula pair does not fit: grid fallback
+        best = None
+        for a_g in range(1, h - 1):
+            for k_g in range(1, a_g + 1):
+                plan = _plan_for(n, h, k_g, a_g, "grid-fallback")
+                if not _pair_has_headroom(plan, n):
+                    continue
+                key = (_estimated_size(plan), k_g, a_g)
+                best = min(best, key) if best else key
+        if best is None:
+            raise InfeasibleParameters(f"no feasible (k, a) pair for n={n}, h={h}")
+        _, k, a = best
+        feasibility = "grid-fallback"
 
-    k_f = ceil(log(log(n)) / _TAU)
-    a_f = k_f + ceil(2 * log(h))
-    if 1 <= k_f <= a_f < h:
-        return _plan_for(n, h, k_f, a_f, "formula-derived")
-
-    best = None
-    for a_g in range(1, h - 1):
-        for k_g in range(1, a_g + 1):
-            plan = _plan_for(n, h, k_g, a_g, "grid-fallback")
-            if not _pair_has_headroom(plan, n):
-                continue
-            key = (_estimated_size(plan), k_g, a_g)
-            if best is None or key < best[0]:
-                best = (key, plan)
-    if best is None:
-        raise InfeasibleParameters(f"no feasible (k, a) pair for n={n}, h={h}")
-    return best[1]
+    # the chosen pair only: gains before m and p', B's layers (B < p'^(h-a)) before its walk
+    p, e = iroot_ceil(n, h), h - a + k
+    check_bytes(gains_bytes(p ** e), f"gains over Z_q, q = {p}^{e},")
+    plan = _plan_for(n, h, k, a, feasibility)
+    check_bytes(layers_bytes(h - a, (h - a) * plan.p_prime ** (h - a)),
+                f"B's layers, p' = {plan.p_prime},")
+    return plan
 
 
 def digit_basis(b: int, h: int) -> BasisSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .arith import GuardError
+from .arith import GuardError, check_bytes
 from .bounds import rohrbach
 from .sumset import BasisSet, n_of
 
@@ -57,6 +57,7 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
+    check_bytes(8 * h, f"the root's {h} search layers")  # one tuple slot each
     cap = comb(k + h, h)
     best_val = -1
     best_wit: tuple[int, ...] = ()

@@ -22,8 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .arith import (bits_to_sorted, check_mask_bits, lowest_clear, mask_of,
-                    rotate, window)
+from .arith import (bits_to_sorted, check_bytes, lowest_clear, mask_bytes,
+                    mask_of, rotate, window)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,12 @@ def _grow(S: list[int], e: int, limit: int) -> None:
         S[j] |= src << e
 
 
+def layers_bytes(h: int, limit: int) -> int:
+    """Peak bytes of h + 1 layers over [0, limit] grown by `_grow`: at most h + 3 masks (layer i
+    holds min(i e, limit) bits while e is added), plus ~40 bytes per layer."""
+    return (h + 3) * mask_bytes(limit) + 40 * (h + 1)
+
+
 def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
     """Bitmasks of the exactly-i sumsets for i = 0..h, each clipped to [0, limit].
 
@@ -148,7 +154,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
         raise ValueError("h must be >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    check_mask_bits(limit)
+    check_bytes(layers_bytes(h, limit), f"{h + 1} sum layers over [0, {limit}]")
     layers = [1] + [0] * h
     for e in A.elements:
         if e > limit:
@@ -199,7 +205,7 @@ def _first_gap(elements: tuple[int, ...], h: int, n: int):
     so the bits of S_h below it are final; they are scanned on a doubling
     schedule (O(n) bits in total) and the first gap found is the least one.
     """
-    check_mask_bits(n)
+    check_bytes(layers_bytes(h, n), f"{h + 1} sum layers over [0, {n}]")
     elems = [e for e in elements if e <= n]
     if not elems or elems[0] > 0:
         return 0  # 0 is a sum of h elements only as 0 + ... + 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbasis.arith import (MAX_MASK_BITS, GuardError, bits_to_sorted, fold,
+from hbasis.arith import (MAX_BYTES, GuardError, bits_to_sorted, fold,
                           iroot_ceil, is_prime, lowest_clear, mask_of,
                           next_prime_at_least, prime_factors, rotate, to_bools,
                           window)
@@ -155,7 +155,7 @@ class TestWindow:
 
     def test_guard_trips_before_allocation(self):
         with pytest.raises(GuardError):
-            window(MAX_MASK_BITS)
+            window(8 * MAX_BYTES)  # a mask of more than MAX_BYTES bytes
         with pytest.raises(GuardError):
             lowest_clear(0, 10 ** 12)
 

@@ -1,6 +1,7 @@
 """Closed-form bound evaluators: worked values and ordering properties."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,21 @@ class TestRohrbach:
     def test_lower_is_exact_rational(self):
         lo, _ = rohrbach(3, 2)
         assert lo == Fraction(8, 27)
+
+    def test_unprintable_refused_before_computing(self):
+        # 1370**1370 has 4,298 digits and 1371**1371 4,301; C(14200, 7100) has
+        # 4,272 and C(14400, 7200) 4,333; (5/1e7)**1e7 would take minutes
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for h, k in ((1370, 1), (7100, 7100)):
+                lo, hi = rohrbach(h, k)
+                assert len(str(max(lo.numerator, lo.denominator, hi))) <= 4300
+            for h, k in ((1371, 1), (7200, 7200), (10 ** 7, 5)):
+                with pytest.raises(ValueError, match="4300-digit limit"):
+                    rohrbach(h, k)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestQuadraticFamily:

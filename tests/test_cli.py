@@ -3,14 +3,16 @@
 import contextlib
 import hashlib
 import io
+import sys
 import tracemalloc
 
 import pytest
 
-from hbasis import sidon
+from hbasis import arith, sidon
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
+from hbasis.construct import plan_params
 
 
 def run_cli(argv):
@@ -157,7 +159,7 @@ class TestComplement:
         assert out == ""
 
     def test_oversized_fft_exit_3(self, tmp_path):
-        # q one past MAX_FFT_LEN: refused before any gains array is allocated
+        # q = 2**26 + 1: the gains model passes MAX_BYTES, refused before any array
         path = tmp_path / "huge.txt"
         path.write_text(f"q = {(1 << 26) + 1}\nmembers = 0\n")
         code, out = run_cli(["complement", "--k", "1", "--set", str(path)])
@@ -176,6 +178,57 @@ class TestComplement:
             tracemalloc.stop()
         assert code == 3
         assert out == ""
+        assert peak < 64 * 2 ** 20
+
+
+def traced_cli(argv):
+    """(exit code, payload, tracemalloc peak in bytes) of one CLI run."""
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv)
+        return code, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    def test_construct_refused_by_its_plan(self):
+        # plan_params refuses each first, so no case below builds anything
+        for n, h in ((1000, 40), (10 ** 6, 30), (100, 1000), (100, 10 ** 5),
+                     (2 ** 32 - 1, 12)):
+            with pytest.raises(arith.GuardError):
+                plan_params(n, h)
+            code, out, peak = traced_cli(["construct", "--n", str(n), "--h", str(h)])
+            assert (code, out) == (3, ""), (n, h)
+            assert peak < 64 * 2 ** 20, (n, h)
+
+    def test_verify_refused(self, basis_file):
+        # 13 layers over [0, 2**32 - 1] (~8.6 GB modelled), then 1e9 layers
+        # over [0, 8] (~44 GB); {0, 1, 3, 4} keeps the first cheap without a guard
+        for h, n in ((12, 2 ** 32 - 1), (10 ** 9, 8)):
+            code, out, peak = traced_cli(["verify", "--h", str(h), "--n", str(n),
+                                          "--set", basis_file])
+            assert (code, out) == (3, ""), (h, n)
+            assert peak < 64 * 2 ** 20, (h, n)
+
+    def test_complement_refused_before_the_base_mask(self, tmp_path):
+        q = 1 << 28
+        path = tmp_path / "wide.txt"
+        path.write_text(f"q = {q}\nmembers = {q - 1}\n")
+        code, out, peak = traced_cli(["complement", "--k", "1", "--set", str(path)])
+        assert (code, out) == (3, "")
+        assert peak < 16 * 2 ** 20
+
+    def test_search_root_layers_refused(self, monkeypatch):
+        # a budget one byte short of h = 1e5 root layers shows the check
+        # without the 8 GB tuple of h = 1e9; then the real budget refuses h = 1e9
+        monkeypatch.setattr(arith, "MAX_BYTES", 8 * 10 ** 5 - 1)
+        code, out, peak = traced_cli(["search", "--h", str(10 ** 5), "--k", "1"])
+        assert (code, out) == (3, "")
+        assert peak < 64 * 2 ** 20
+        monkeypatch.undo()
+        code, out, peak = traced_cli(["search", "--h", str(10 ** 9), "--k", "1"])
+        assert (code, out) == (3, "")
         assert peak < 64 * 2 ** 20
 
 
@@ -198,6 +251,16 @@ class TestBounds:
     def test_requires_one_of_k_n(self):
         code, _ = run_cli(["bounds", "--h", "2"])
         assert code == 2
+
+    def test_unprintable_rational_exit_2(self, capsys):
+        # (5/2000)**2000 has a 5,205-digit denominator; h = 1e7 would take minutes
+        limit = f"{sys.get_int_max_str_digits()}-digit limit"
+        for argv in (["bounds", "--h", "2000", "--k", "5"],
+                     ["table", "--h", "2000", "--k-max", "5"],
+                     ["bounds", "--h", str(10 ** 7), "--k", "5"]):
+            code, out = run_cli(argv)
+            assert (code, out) == (2, ""), argv
+            assert limit in capsys.readouterr().err, argv
 
 
 class TestSearchAndTable:

@@ -3,13 +3,17 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from hbasis.arith import MAX_BYTES, GuardError
 from hbasis.construct import (DecompositionError, InfeasibleParameters,
                               build_theorem1, decompose, digit_basis,
                               plan_params, tau)
-from hbasis.sumset import n_of, verify_basis
+from hbasis.cover import gains_bytes
+from hbasis.sidon import bose_chowla
+from hbasis.sumset import BasisSet, coverage_layers, layers_bytes, n_of, verify_basis
 
 
 class TestTau:
@@ -56,6 +60,51 @@ class TestPlanParams:
             plan = plan_params(n, h)
             assert 1 <= plan.k <= plan.a < h
             assert plan.q == plan.p ** (h - plan.a + plan.k)
+
+
+class TestPlanBudget:
+    def test_unbuildable_plans_refused_before_any_work(self):
+        # (1000, 40): q = 2**32 and a B_29 walk over 29**29 steps; (1e6, 30): a
+        # B_19 walk over 17**19; (100, 1000) and (100, 100000): q = 2**986 and
+        # 2**99976, and m = p**(h-a) (h-a)! too large to take a root of;
+        # (2**32 - 1, 12): a verify modelled at ~8.6 GB
+        for n, h in ((1000, 40), (10 ** 6, 30), (100, 1000), (100, 10 ** 5),
+                     (2 ** 32 - 1, 12)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GuardError):
+                    plan_params(n, h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 20, (n, h)
+
+    def test_grid_checks_only_the_chosen_pair(self):
+        # the unchosen pair (1, 1) at (6, 1e8) has q = 22**6, over the budget
+        assert gains_bytes(22 ** 6) > MAX_BYTES
+        plan = plan_params(10 ** 8, 6)
+        assert (plan.k, plan.a, plan.q, plan.feasibility) == (2, 4, 234_256, "grid-fallback")
+
+    def test_formula_plans_fit(self):
+        # the paper's own (k, a) at h = 9..16: 22 plans, all within the budget
+        plans = [plan_params(n, h) for h in range(9, 17) for n in (10 ** 4, 10 ** 6, 10 ** 8)]
+        assert sum(p.feasibility == "formula-derived" for p in plans) == 22
+
+    @pytest.mark.parametrize("n,h,feasibility", [(10 ** 8, 6, "grid-fallback"),
+                                                 (10 ** 8, 12, "formula-derived")])
+    def test_b_layers_model_bounds_measured_peak(self, n, h, feasibility):
+        plan = plan_params(n, h)
+        assert plan.feasibility == feasibility
+        h_a = plan.h - plan.a
+        B = BasisSet(bose_chowla(plan.p_prime, h_a).elements)
+        tracemalloc.start()
+        try:
+            coverage_layers(B, h_a, h_a * B.max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the model that plan_params checks, from p' alone: B lies below p'**(h-a)
+        assert peak <= layers_bytes(h_a, h_a * plan.p_prime ** h_a) <= 2 * peak
 
 
 class TestDigitBasis:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from math import ceil, log
 
 import numpy as np
@@ -13,8 +14,8 @@ from hbasis import cover
 from hbasis.arith import bits_to_sorted, rotate, to_bools
 from hbasis.construct import build_theorem1, plan_params
 from hbasis.cover import (_gains_fft, _subtract_drop, _window_len,
-                          complement_size_bound, greedy_shift_cover,
-                          k_complement)
+                          complement_size_bound, gains_bytes,
+                          greedy_shift_cover, k_complement)
 from hbasis.sumset import ResidueSet, residue_sumset
 
 
@@ -253,6 +254,26 @@ class TestKComplement:
         A = ResidueSet.from_iterable(32, [0, 3, 7])
         fam = k_complement(A, 2)
         assert fam.union_size <= fam.total_shifts
+
+
+class TestGainsModel:
+    def test_bounds_measured_peak(self):
+        # the windowed and the full-recompute greedy path, and both rounds of k = 2
+        q = 1 << 20
+        full = ResidueSet.full(q)
+        short = ResidueSet(q, (1 << 16384) - 1)
+        wide = ResidueSet.from_iterable(q, [0, 5, 17, q - 1])
+        assert _window_len(16384, q) and not _window_len(q, q)
+        for fn, args in ((greedy_shift_cover, (short, full, 3)),
+                         (greedy_shift_cover, (wide, full, 3)),
+                         (k_complement, (short, 2))):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= gains_bytes(q) <= 2 * peak, fn.__name__
 
 
 class TestComplementSizeBound:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbasis.arith import MAX_BYTES, GuardError, iroot_ceil
 from hbasis.construct import digit_basis
 from hbasis.sumset import (BasisSet, Certificate, ResidueSet, coverage_layers,
-                           h_fold_coverage, n_of, residue_sumset, verify_basis,
-                           witness)
+                           h_fold_coverage, layers_bytes, n_of, residue_sumset,
+                           verify_basis, witness)
 
 
 def brute_coverage(elements, h, limit):
@@ -204,6 +205,42 @@ class TestVerify:
         cert = verify_basis(A, h, n)
         assert cert.ok == (gap is None)
         assert cert.first_gap == gap
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLayersModel:
+    @pytest.mark.parametrize("h", [2, 6, 12])
+    def test_bounds_measured_peak(self, h):
+        n = 2 * 10 ** 6
+        A = digit_basis(iroot_ceil(n + 1, h), h)
+        for fn in (verify_basis, coverage_layers):
+            peak = traced_peak(fn, A, h, n)
+            assert peak <= layers_bytes(h, n) <= 2 * peak, fn.__name__
+
+    def test_many_layers_over_a_short_range(self):
+        # at n = 8 each layer is a list slot and a small int
+        h = 10 ** 5
+        for fn in (verify_basis, coverage_layers):
+            peak = traced_peak(fn, BasisSet((0, 1, 3, 4)), h, 8)
+            assert peak <= layers_bytes(h, 8) <= 2 * peak, fn.__name__
+
+    def test_over_budget_refused_before_allocation(self):
+        # 13 layers over [0, 2**32 - 1] model ~8.6 GB; 1e9 layers over [0, 8] ~44 GB
+        A = BasisSet((0, 1, 3, 4))
+        for h, n in ((12, 2 ** 32 - 1), (10 ** 9, 8)):
+            assert layers_bytes(h, n) > MAX_BYTES
+            for fn in (verify_basis, coverage_layers):
+                with pytest.raises(GuardError):
+                    traced_peak(fn, A, h, n)
 
 
 class TestWitness:
