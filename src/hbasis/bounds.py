@@ -112,6 +112,12 @@ def bound_reports(h: int, k: int | None = None, n: int | None = None) -> list[Bo
             reports.append(BoundReport("improved_quadratic", improved_quadratic(k), "lower"))
         reports.append(BoundReport("hofmeister_lower", hofmeister_lower(h, k), "lower",
                                    asymptotic_terms_dropped="O(k^(h-1))"))
+        # rohrbach's estimate keeps h small enough to compute these; test each exactly
+        if limit := sys.get_int_max_str_digits():
+            for r in reports:
+                if max(r.value.numerator, r.value.denominator) >= 10 ** limit:
+                    raise ValueError(f"{r.name} at h={h}, k={k} runs to over {limit} digits, "
+                                     f"past Python's {limit}-digit limit for printing an int")
     else:
         reports.append(BoundReport("zeta_upper_hofmeister", zeta_upper_hofmeister(h, n), "upper",
                                    asymptotic_terms_dropped="o(h)"))

@@ -109,49 +109,44 @@ class DecompositionError(RuntimeError):
     """A z admitted no in-headroom decomposition: a construction counterexample."""
 
 
-def _plan_for(n: int, h: int, k: int, a: int, feasibility: str) -> ConstructionPlan:
-    p = iroot_ceil(n, h)
-    m = p ** (h - a) * factorial(h - a)
-    q = p ** (h - a + k)
-    p_prime = next_prime_at_least(iroot_ceil(m, h - a))
-    return ConstructionPlan(n=n, h=h, p=p, k=k, a=a, m=m, q=q,
-                            p_prime=p_prime, feasibility=feasibility)
+def _p_prime(p: int, h_a: int) -> int:
+    """Least prime >= (p^{h-a} (h-a)!)^{1/(h-a)}: the field of B's Bose-Chowla B_{h-a} set."""
+    return next_prime_at_least(iroot_ceil(p ** h_a * factorial(h_a), h_a))
 
 
-def _estimated_size(plan: ConstructionPlan) -> int:
-    """Predicted |G| ledger from component-size estimates (grid selection key)."""
-    h, p, k, a, q = plan.h, plan.p, plan.k, plan.a, plan.q
-    size_a = 1 + (iroot_ceil(h * q + 1, h) - 1) * h
-    size_b = plan.p_prime
-    size_c = complement_size_bound(q, p ** (h - a), k)
-    size_d = 1 + (p - 1) * (a - k)
-    return size_a + size_b + size_c + size_d
+def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
+    """(k, a, p') in 1 <= k <= a <= h-2 of least |G| ledger, ties to the least k, then a.
 
-
-def _pair_has_headroom(plan: ConstructionPlan, n: int) -> bool:
-    """Whether decompose can stay within its arithmetic headroom for this pair.
-
-    Degenerate pairs with h*q > n never leave the digit-basis path.  Otherwise
-    the worst-case quotient t of x + y by q must stay below h, with max(B)
-    bounded through the actual p'.
+    The ledger adds |A| (digit basis of [0, hq]), p', complement_size_bound and |D|.
+    A pair is kept only within decompose's headroom: h*q > n (z never leaves A's digit
+    path), or the worst-case quotient of x + y by q, with max(B) from p', is below h.
     """
-    h, a, k, q = plan.h, plan.a, plan.k, plan.q
-    if h * q > n:
-        return True
-    h_a = h - a
-    max_b = plan.p_prime - 1 if h_a == 1 else plan.p_prime ** h_a - 2
-    t_bound = (h_a * max_b + k * (q - 1)) // q
-    return t_bound <= h - 1
+    best = None
+    for a in range(1, h - 1):
+        h_a, p_prime = h - a, _p_prime(p, h - a)
+        max_b = p_prime - 1 if h_a == 1 else p_prime ** h_a - 2
+        alpha = q = p ** h_a
+        for k in range(1, a + 1):
+            q *= p
+            if h * q <= n and (h_a * max_b + k * (q - 1)) // q >= h:
+                continue
+            size = (1 + (iroot_ceil(h * q + 1, h) - 1) * h + p_prime
+                    + complement_size_bound(q, alpha, k) + 1 + (p - 1) * (a - k))
+            best = min(best, (size, k, a, p_prime)) if best else (size, k, a, p_prime)
+    if best is None:
+        raise InfeasibleParameters(f"no feasible (k, a) pair for n={n}, h={h}")
+    return best[1:]
 
 
 def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> ConstructionPlan:
     """Pick (k, a): paper formulas when feasible, else a grid over small pairs.
 
     The formula k = ceil(ln ln n / tau), a = k + ceil(2 ln h) is only
-    feasible for large h; at desk scale the grid enumerates 1 <= k <= a <=
-    h-2, keeps pairs whose decomposition headroom holds, and minimizes the
-    predicted |G| ledger.  Explicit overrides bypass both after validation.
-    A verify, gains or B layer stack over the memory budget is refused first.
+    feasible for large h; at desk scale `_grid_pair` walks 1 <= k <= a <= h-2
+    and minimizes the predicted |G| ledger over pairs whose decomposition
+    headroom holds.  Explicit overrides bypass both after validation.
+    p = ceil(n^{1/h}) is taken once and p' once per a; a verify, gains or B
+    layer stack over the memory budget is refused before the plan is built.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -160,6 +155,7 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
         raise InfeasibleParameters("pipeline needs h >= 3; use digit_basis or search")
     if (k is None) != (a is None):
         raise ValueError("override k and a together")
+    p, p_prime = iroot_ceil(n, h), None
     if k is not None:
         if not (1 <= k <= a < h):
             raise InfeasibleParameters(f"override violates 1 <= k <= a < h: k={k}, a={a}")
@@ -169,26 +165,16 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
         a = k + ceil(2 * log(h))
         feasibility = "formula-derived"
     if not 1 <= k <= a < h:  # the formula pair does not fit: grid fallback
-        best = None
-        for a_g in range(1, h - 1):
-            for k_g in range(1, a_g + 1):
-                plan = _plan_for(n, h, k_g, a_g, "grid-fallback")
-                if not _pair_has_headroom(plan, n):
-                    continue
-                key = (_estimated_size(plan), k_g, a_g)
-                best = min(best, key) if best else key
-        if best is None:
-            raise InfeasibleParameters(f"no feasible (k, a) pair for n={n}, h={h}")
-        _, k, a = best
+        k, a, p_prime = _grid_pair(n, h, p)
         feasibility = "grid-fallback"
 
-    # the chosen pair only: gains before m and p', B's layers (B < p'^(h-a)) before its walk
-    p, e = iroot_ceil(n, h), h - a + k
+    # the chosen pair only: gains before p', B's layers (B < p'^(h-a)) before its walk
+    h_a, e = h - a, h - a + k
     check_bytes(gains_bytes(p ** e), f"gains over Z_q, q = {p}^{e},")
-    plan = _plan_for(n, h, k, a, feasibility)
-    check_bytes(layers_bytes(h - a, (h - a) * plan.p_prime ** (h - a)),
-                f"B's layers, p' = {plan.p_prime},")
-    return plan
+    p_prime = p_prime or _p_prime(p, h_a)
+    check_bytes(layers_bytes(h_a, h_a * p_prime ** h_a), f"B's layers, p' = {p_prime},")
+    return ConstructionPlan(n=n, h=h, p=p, k=k, a=a, m=p ** h_a * factorial(h_a),
+                            q=p ** e, p_prime=p_prime, feasibility=feasibility)
 
 
 def digit_basis(b: int, h: int) -> BasisSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .arith import GuardError, check_bytes
+from .arith import GuardError, check_bytes, mask_bytes
 from .bounds import rohrbach
 from .sumset import BasisSet, n_of
 
@@ -54,6 +54,7 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     for j = 1..h ascending, and resumes the reach scan from the parent's,
     since a child only gains sums.  Nodes wait on an explicit stack, children
     pushed largest first, so the visit order is the recursive one at any k.
+    Their masks are held to the memory budget whenever the reach is new.
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
@@ -63,6 +64,7 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     best_wit: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
+    checked = -1
     stack = [((0,), (1,) * h, 0)]
     while stack:
         prefix, layers, reach = stack.pop()
@@ -77,6 +79,10 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
             continue
         if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
             continue
+        if reach > checked:  # this node and its children, h masks each
+            check_bytes((reach + 2) * h * mask_bytes(h * (reach + 1)),
+                        f"the children of a search node at reach {reach}, h = {h},")
+            checked = reach
         for e in range(reach + 1, prefix[-1], -1):
             grown = []
             s = 1

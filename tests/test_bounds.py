@@ -130,3 +130,14 @@ class TestBoundReports:
     def test_rejects_ambiguous_inputs(self):
         with pytest.raises(ValueError):
             bound_reports(2, k=3, n=10)
+
+    def test_every_exact_value_within_print_limit(self, monkeypatch):
+        # (1/1369)^1369 has 4,294 digits and passes rohrbach's check, but
+        # hofmeister_lower's denominator 3^456 1369^1369 has about 4,512; at
+        # h = 1368 the 2s cancel and it has about 4,233
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        with pytest.raises(ValueError, match="^hofmeister_lower at h=1369, k=1 runs to over "
+                                             "4300 digits, past Python's 4300-digit limit"):
+            bound_reports(1369, k=1)
+        for r in bound_reports(1368, k=1):
+            assert len(str(r.value)) < 2 * 4300

@@ -253,9 +253,11 @@ class TestBounds:
         assert code == 2
 
     def test_unprintable_rational_exit_2(self, capsys):
-        # (5/2000)**2000 has a 5,205-digit denominator; h = 1e7 would take minutes
+        # (5/2000)**2000 has a 5,205-digit denominator; h = 1e7 would take minutes;
+        # at (1369, 1) rohrbach's bounds print but Hofmeister's denominator does not
         limit = f"{sys.get_int_max_str_digits()}-digit limit"
         for argv in (["bounds", "--h", "2000", "--k", "5"],
+                     ["bounds", "--h", "1369", "--k", "1"],
                      ["table", "--h", "2000", "--k-max", "5"],
                      ["bounds", "--h", str(10 ** 7), "--k", "5"]):
             code, out = run_cli(argv)

@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from hbasis.arith import MAX_BYTES, GuardError
+from hbasis import construct
+from hbasis.arith import MAX_BYTES, GuardError, next_prime_at_least
 from hbasis.construct import (DecompositionError, InfeasibleParameters,
                               build_theorem1, decompose, digit_basis,
                               plan_params, tau)
@@ -105,6 +106,49 @@ class TestPlanBudget:
             tracemalloc.stop()
         # the model that plan_params checks, from p' alone: B lies below p'**(h-a)
         assert peak <= layers_bytes(h_a, h_a * plan.p_prime ** h_a) <= 2 * peak
+
+
+class TestPinnedPlans:
+    # SHA-256 over repr(plan_params(n, h, k, a)), or the exception's type and
+    # message, for 836 inputs: 16 values of n at h = 1..30, every override
+    # pair at h = 3..8 and n = 1e4..1e7, and the default plans at h = 9..16,
+    # n in {1e4, 1e6, 1e8}.  Recorded before the grid ranked pairs from
+    # integers taken once (p per call, p' per a).
+    NS = (2, 3, 10, 100, 1000, 10 ** 4, 10 ** 5, 2 * 10 ** 5, 10 ** 6, 10 ** 7,
+          22 ** 6 - 1, 10 ** 8, 10 ** 9, 2 ** 31, 3 * 10 ** 9, 2 ** 32 - 1)
+    DIGEST = "33e9426133d268c2b475e23009282c49066f4d74ed850dbed32998a91fa5334f"
+
+    def inputs(self):
+        yield from ((n, h, None, None) for n in self.NS for h in range(1, 31))
+        for h in range(3, 9):
+            for n in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7):
+                yield from ((n, h, k, a) for a in range(1, h) for k in range(1, a + 1))
+        yield from ((n, h, None, None) for h in range(9, 17) for n in (10 ** 4, 10 ** 6, 10 ** 8))
+
+    def test_every_plan_and_refusal(self):
+        digest = hashlib.sha256()
+        count = 0
+        for n, h, k, a in self.inputs():
+            try:
+                line = repr(plan_params(n, h, k, a))
+            except (ValueError, GuardError) as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            digest.update((line + "\n").encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (836, self.DIGEST)
+
+    def test_one_field_size_per_a(self, monkeypatch):
+        # the grid at (2, 60) walks a = 1..58: one p' per a, none per (k, a) pair
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return next_prime_at_least(m)
+
+        monkeypatch.setattr(construct, "next_prime_at_least", counted)
+        plan = plan_params(2, 60)
+        assert (plan.k, plan.a, plan.q, plan.feasibility) == (1, 58, 8, "grid-fallback")
+        assert len(calls) <= 58 + 1
 
 
 class TestDigitBasis:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hbasis import arith, search
 from hbasis.arith import GuardError
 from hbasis.bounds import rohrbach
 from hbasis.search import (BudgetExhausted, SearchResult, _optimistic_reach,
@@ -125,6 +126,28 @@ class TestPinnedLadder:
     def test_ladder(self):
         for h, k, value, witness, nodes in self.LADDER:
             assert outcome(extremal_n(h, k)) == (value, witness, nodes, True), (h, k)
+
+
+class TestExpansionBudget:
+    # an expansion at reach r is modelled as (r + 2) h masks of h (r + 1)
+    # bits: at h = 3, 24 bytes at the root and 60 at reach 3
+    def test_refused_when_reach_outgrows_the_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "MAX_BYTES", 50)
+        with pytest.raises(GuardError, match="search node at reach 3, h = 3,"):
+            extremal_n(3, 6)
+
+    def test_checked_once_per_new_reach(self, monkeypatch):
+        needs = []
+        monkeypatch.setattr(search, "check_bytes", lambda need, what: needs.append(need))
+        result = extremal_n(3, 6)
+        monkeypatch.undo()
+        expansions = needs[1:]  # needs[0] is the root tuple's
+        assert len(expansions) > 2 and expansions == sorted(set(expansions))
+        monkeypatch.setattr(arith, "MAX_BYTES", expansions[-1])
+        assert extremal_n(3, 6) == result
+        monkeypatch.setattr(arith, "MAX_BYTES", expansions[-1] - 1)
+        with pytest.raises(GuardError):
+            extremal_n(3, 6)
 
 
 class TestSuccessorRule:
