@@ -54,7 +54,8 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     for j = 1..h ascending, and resumes the reach scan from the parent's,
     since a child only gains sums.  Nodes wait on an explicit stack, children
     pushed largest first, so the visit order is the recursive one at any k.
-    Their masks are held to the memory budget whenever the reach is new.
+    The first expansion at each new largest reach checks the memory budget
+    for its node and children: (reach + 2) h masks of h (reach + 1) bits.
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
@@ -79,7 +80,7 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
             continue
         if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
             continue
-        if reach > checked:  # this node and its children, h masks each
+        if reach > checked:
             check_bytes((reach + 2) * h * mask_bytes(h * (reach + 1)),
                         f"the children of a search node at reach {reach}, h = {h},")
             checked = reach
