@@ -15,9 +15,9 @@ The basis G for [0, n] is the union of four components:
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
 The result also keeps, outside its repr and equality, what decompose
-reads and nothing already held elsewhere: A's digit base, B's layer stack
-and the family combos.  H mod q is the complement's base, and
-max(H) = (h-a) max(B).
+reads and nothing already held elsewhere: B's layer stack and the family
+combos.  A's digit base b follows from |A| = h(b-1) + 1, max(H) is
+(h-a) max(B), and each lift of a residue is tested on H's own mask.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class ConstructionResult:
     complement: ComplementFamily
     verified: bool
     first_gap: int | None
-    # Read by decompose only.  A = digit_basis(a_base, h) with a_base^h > h*q;
-    # b_layers[i] holds the exactly-i sums of B over [0, max(H)]; y_combos
-    # holds (sum, parts) for one shift per family, sorted.
-    a_base: int = field(repr=False, compare=False)
+    # Read by decompose only, beside comp_a (A = digit_basis(b, h), b^h > h*q,
+    # so b = (|A| - 1) // h + 1) and comp_b: b_layers[i] holds the exactly-i
+    # sums of B over [0, max(H)], H = b_layers[h-a]; y_combos holds (sum,
+    # parts) for one shift per family, sorted.
     b_layers: tuple[int, ...] = field(repr=False, compare=False)
     y_combos: tuple[tuple[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
 
@@ -210,8 +210,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                                   for j in range(1, p)
                                   for i in range(h_a + k, h)}))
 
-    b_digit = iroot_ceil(h * q + 1, h)
-    a_set = digit_basis(b_digit, h)
+    a_set = digit_basis(iroot_ceil(h * q + 1, h), h)
 
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
@@ -226,7 +225,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               comp_c=c_elems, comp_d=d_elems,
                               complement=complement,
                               verified=cert.ok, first_gap=cert.first_gap,
-                              a_base=b_digit, b_layers=tuple(b_layers),
+                              b_layers=tuple(b_layers),
                               y_combos=tuple(sorted(combos)))
 
 
@@ -266,20 +265,16 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     h_a = h - a
 
     if z < h * q:
-        addends = tuple(sorted(_digit_terms(z, result.a_base, h)))
+        addends = tuple(sorted(_digit_terms(z, (len(result.comp_a) - 1) // h + 1, h)))
         return DecompositionWitness(z=z, addends=addends, from_a=addends,
                                     from_b=(), from_c=(), from_d=())
 
     h_bits = result.b_layers[h_a]
-    h_mod_bits = result.complement.base.bits
     limit_h = h_a * result.comp_b[-1]
     s, r = divmod(z, q)
     d_cap = p ** (a - k)
     for y_sum, y_parts in result.y_combos:
-        rho = (r - y_sum) % q
-        if not (h_mod_bits >> rho) & 1:
-            continue
-        x = rho
+        x = (r - y_sum) % q
         while x <= limit_h:
             if (h_bits >> x) & 1:
                 t = (x + y_sum - r) // q

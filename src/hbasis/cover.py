@@ -9,16 +9,17 @@ mass and therefore meets the per-round bound |B \\ (A + X_j)| <=
 
 Sets stay bitmasks (ResidueSet) throughout: a pick clears the rotated base
 from the uncovered mask, and popcounts give the trace.  numpy only feeds
-the FFTs.  Each round seeds the gains of all q shifts with one circular
-cross-correlation of the unpacked base and uncovered masks.  When the base
-A lies in a window [0, L) short against q, the round then keeps that array
-current locally: picking x newly covers R = U & (A + x), and only the
-shifts x + d with |d| < L can lose gain, each by |(A + x + d) & R|, a
-linear correlation of A's window with R - x that one power-of-two FFT of
-length >= 2L computes.  A base whose window FFT would be longer than q/2
-saves nothing that way and recomputes the full correlation before every
-pick instead.  Counts are integers, so rounding restores exactness on both
-paths and the smallest-shift tie-break is an argmax over exact values.
+the FFTs, all through `_correlate`.  Each round seeds the gains of all q
+shifts with one circular cross-correlation of the unpacked base and
+uncovered masks.  When the base A lies in a window [0, L) short against q,
+the round then keeps that array current locally: picking x newly covers
+R = U & (A + x), and only the shifts x + d with |d| < L can lose gain, each
+by |(A + x + d) & R|, a linear correlation of A's window with R - x that one
+power-of-two FFT of length >= 2L computes.  A base whose window FFT would be
+longer than q/2 recomputes the full correlation before every pick instead.
+Counts are whole numbers up to q <= 2**26 (the memory budget), exact in
+float64 (below 2**53) once rounded, so both paths hold exact gains and the
+smallest-shift tie-break is an argmax over exact values.
 """
 
 from __future__ import annotations
@@ -76,14 +77,14 @@ class ComplementFamily:
         return len(self.union)
 
 
-def _gains_fft(fa_conj: np.ndarray, uncovered: np.ndarray, q: int) -> np.ndarray:
-    """gains[x] = |(A + x) & U| for all shifts x, via circular correlation."""
-    spec = np.fft.rfft(uncovered.astype(np.float64)) * fa_conj
-    return np.rint(np.fft.irfft(spec, q)).astype(np.int64)
+def _correlate(mask: int, length: int, conj: np.ndarray, n: int) -> np.ndarray:
+    """out[d] = |(S + d) & M| over Z_n, rounded, in float64: M is bits 0..length-1
+    of mask, zero-padded to n, and conj is the conjugated length-n rfft of S."""
+    return np.rint(np.fft.irfft(np.fft.rfft(to_bools(mask, length), n) * conj, n))
 
 
 def gains_bytes(q: int) -> int:
-    """Peak bytes of a gains pass over Z_q: measured 33.0-33.8 per residue at q = 2**20."""
+    """Peak bytes of a gains pass over Z_q: measured 25.3-25.7 per residue at q = 2**20."""
     return 34 * q
 
 
@@ -109,10 +110,9 @@ def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
     at the even _window_len length n = 2 * (bins - 1).
     """
     n = 2 * (window_conj.size - 1)
-    spec = np.fft.rfft(to_bools(covered, base_len).astype(np.float64), n) * window_conj
     # corr[d mod n] = |(A + d) & covered|; roll puts d = -(L - 1) first
-    corr = np.roll(np.fft.irfft(spec, n), base_len - 1)[:2 * base_len - 1]
-    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= np.rint(corr).astype(np.int64)
+    corr = np.roll(_correlate(covered, base_len, window_conj, n), base_len - 1)
+    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= corr[:2 * base_len - 1]
 
 
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
@@ -121,9 +121,9 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     One FFT seeds the gains of all q shifts.  If A's window [0, L) is short
     against q (_window_len), each pick then subtracts its windowed drop;
     otherwise the gains are recomputed in full before each pick.  Both keep
-    exact integer gains, so the picks (argmax, smallest shift on ties) do
-    not depend on the path.  Over-budget gains_bytes(q) raise GuardError
-    before any array is allocated.
+    exact gains (whole float64 counts up to q <= 2**26), so the picks
+    (argmax, smallest shift on ties) do not depend on the path.
+    Over-budget gains_bytes(q) raise GuardError before any array is allocated.
     """
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
@@ -135,17 +135,15 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     check_bytes(gains_bytes(q), f"gains over Z_{q}")
     base_len = A.bits.bit_length()
     n = _window_len(base_len, q)
-    base = to_bools(A.bits, q).astype(np.float64)
-    fa_conj = np.conj(np.fft.rfft(base))
-    window_conj = np.conj(np.fft.rfft(base[:base_len], n)) if n else None
-    del base
+    fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q)))
+    window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n)) if n else None
     uncovered = B.bits
     picks: list[int] = []
     trace: list[int] = []
     gains = None
     while uncovered and len(picks) < t:
         if gains is None:
-            gains = _gains_fft(fa_conj, to_bools(uncovered, q), q)
+            gains = _correlate(uncovered, q, fa_conj, q)
         x = int(np.argmax(gains))
         covered = uncovered & rotate(A.bits, x, q)
         uncovered ^= covered

@@ -280,3 +280,26 @@ class TestPinnedWitnesses:
                     line = f"{z} err\n"
                 digest.update(line.encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestPinnedMultiLift:
+    # SHA-256 over the witness (or "err") of every z <= n on the default
+    # (1e5, 7) plan, where max(H) = 236 >= q = 216: three residues of H
+    # lift only to x >= q, so the x loop in decompose steps past a lift
+    # outside H, and 3,192 witnesses take such an x.  Recorded while
+    # decompose still tested each residue against H mod q first.
+    DIGEST = "63e1b7044608740e7705c23d5e39db625c74ba012c4ffb459b1cfe810acd0194"
+
+    def test_every_witness(self):
+        res = build_theorem1(plan_params(10 ** 5, 7))
+        plan = res.plan
+        assert (plan.q, (plan.h - plan.a) * res.comp_b[-1]) == (216, 236)
+        digest = hashlib.sha256()
+        for z in range(plan.n + 1):
+            try:
+                w = decompose(z, res)
+                line = f"{z} {w.addends} {w.from_a} {w.from_b} {w.from_c} {w.from_d}\n"
+            except DecompositionError:
+                line = f"{z} err\n"
+            digest.update(line.encode())
+        assert digest.hexdigest() == self.DIGEST
