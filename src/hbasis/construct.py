@@ -80,10 +80,10 @@ class ConstructionResult:
     complement: ComplementFamily
     verified: bool
     first_gap: int | None
-    # Read by decompose only, beside comp_a (A = digit_basis(b, h), b^h > h*q,
-    # so b = (|A| - 1) // h + 1) and comp_b: b_layers[i] holds the exactly-i
-    # sums of B over [0, max(H)], H = b_layers[h-a]; y_combos holds (sum,
-    # parts) for one shift per family, sorted.
+    # Read by decompose only, beside comp_a (A = digit_basis(b, h) with
+    # b^h > h*q, so b = (|A| - 1) // h + 1) and comp_b.  b_layers[i] holds
+    # the exactly-i sums of B over [0, max(H)], H = b_layers[h-a]; y_combos
+    # holds (sum, parts) for one shift per family, sorted.
     b_layers: tuple[int, ...] = field(repr=False, compare=False)
     y_combos: tuple[tuple[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
 

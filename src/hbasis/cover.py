@@ -111,8 +111,8 @@ def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
     """
     n = 2 * (window_conj.size - 1)
     # corr[d mod n] = |(A + d) & covered|; roll puts d = -(L - 1) first
-    corr = np.roll(_correlate(covered, base_len, window_conj, n), base_len - 1)
-    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= corr[:2 * base_len - 1]
+    corr = np.roll(_correlate(covered, base_len, window_conj, n), base_len - 1)[:2 * base_len - 1]
+    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= corr
 
 
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
