@@ -166,7 +166,9 @@ def _cmd_table(args) -> tuple[int, str]:
     rows = []
     all_optimal = True
     for k in range(args.k_min, args.k_max + 1):
-        lo, hi = rohrbach(args.h, k)  # refuses an unprintable bound before the search
+        # the search's k counts 0, rohrbach's does not (criterion 5's bracket);
+        # an unprintable bound is refused before the search
+        lo, hi = (0, 1) if k == 1 else rohrbach(args.h, k - 1)
         res = extremal_n(args.h, k, args.budget)
         all_optimal = all_optimal and res.proof_of_optimality
         rows.append({"h": args.h, "k": k, "value": res.value,

@@ -15,9 +15,17 @@ The basis G for [0, n] is the union of four components:
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
 The result also keeps, outside its repr and equality, what decompose
-reads and nothing already held elsewhere: B's layer stack and the family
-combos.  A's digit base b follows from |A| = h(b-1) + 1, max(H) is
-(h-a) max(B), and each lift of a residue is tested on H's own mask.
+reads and nothing already held elsewhere: B's layer stack, the family
+combos and a per-residue start index into them.  A's digit base b follows
+from |A| = h(b-1) + 1, max(H) is (h-a) max(B), and each lift of a residue
+is tested on H's own mask.
+
+The start index y_first[r] is the least combo c with r - y_c mod q in
+H mod q, or the combo count if none has it.  A combo before it has no
+lift x <= max(H) in H at all, so the scan that starts there returns what
+a scan from the first combo would, witness for witness and error for
+error.  It takes 4q bytes (int32), inside the gains_bytes(q) = 34q that
+plan_params already checks for the greedy over the same Z_q.
 """
 
 from __future__ import annotations
@@ -25,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, factorial, log
 
+import numpy as np
+
 from .arith import (bits_to_sorted, check_bytes, fold, iroot_ceil,
-                    next_prime_at_least)
+                    next_prime_at_least, to_bools)
 from .cover import ComplementFamily, complement_size_bound, gains_bytes, k_complement
 from .sidon import bose_chowla
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,
@@ -83,9 +93,12 @@ class ConstructionResult:
     # Read by decompose only, beside comp_a (A = digit_basis(b, h) with
     # b^h > h*q, so b = (|A| - 1) // h + 1) and comp_b.  b_layers[i] holds
     # the exactly-i sums of B over [0, max(H)], H = b_layers[h-a]; y_combos
-    # holds (sum, parts) for one shift per family, sorted.
+    # holds (sum, parts) for one shift per family, sorted; y_first (int32,
+    # read-only, 4q bytes) holds per residue r the least combo index c with
+    # r - y_c in H mod q, len(y_combos) where no combo lifts r.
     b_layers: tuple[int, ...] = field(repr=False, compare=False)
     y_combos: tuple[tuple[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
+    y_first: np.ndarray = field(repr=False, compare=False)
 
     @property
     def sizes(self) -> dict:
@@ -215,10 +228,18 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
 
-    # all (sum, parts) combos drawing one shift from each family
+    # all (sum, parts) combos drawing one shift from each family, sorted
     combos = [(0, ())]
     for X in complement.families:
         combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
+    combos.sort()
+    # H mod q repeats no residue, so each assignment hits distinct indices;
+    # walking the combos in reverse leaves the least c per residue
+    h_res = np.flatnonzero(to_bools(complement.base.bits, q))
+    y_first = np.full(q, len(combos), np.int32)
+    for c in range(len(combos) - 1, -1, -1):
+        y_first[(h_res + combos[c][0]) % q] = c
+    y_first.flags.writeable = False
 
     return ConstructionResult(plan=plan, basis=basis,
                               comp_a=a_set.elements, comp_b=b_elems,
@@ -226,7 +247,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               complement=complement,
                               verified=cert.ok, first_gap=cert.first_gap,
                               b_layers=tuple(b_layers),
-                              y_combos=tuple(sorted(combos)))
+                              y_combos=tuple(combos), y_first=y_first)
 
 
 @dataclass(frozen=True)
@@ -250,7 +271,8 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     z < h*q < b^h is the sum of its h base-b digit terms d_i b^i, all in A;
     largest-first backtracking over A's layers would return the same terms.
     Otherwise z = s*q + r is matched residue-first: some family combo y and
-    some x in H = (h-a)B satisfy x + y == r (mod q); their overshoot
+    some x in H = (h-a)B satisfy x + y == r (mod q), the combos scanned in
+    order from y_first[r], the first one with any such x; their overshoot
     t = (x + y - r)/q is folded into the quotient, and s - t is written in
     base p on D's exponents.
     Failure to find in-range (x, y) is a construction counterexample and is
@@ -273,7 +295,9 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     limit_h = h_a * result.comp_b[-1]
     s, r = divmod(z, q)
     d_cap = p ** (a - k)
-    for y_sum, y_parts in result.y_combos:
+    combos = result.y_combos
+    for c in range(result.y_first[r], len(combos)):
+        y_sum, y_parts = combos[c]
         x = (r - y_sum) % q
         while x <= limit_h:
             if (h_bits >> x) & 1:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -290,6 +291,17 @@ class TestSearchAndTable:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_table_rows_inside_their_bounds(self):
+        # the search's k counts 0 and Rohrbach's does not, so every printed
+        # row must bracket the proven value: lower <= value <= upper
+        for h in range(2, 5):
+            code, out = run_cli(["table", "--h", str(h), "--k-max", "6"])
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [int(row[1]) for row in rows] == list(range(1, 7))
+            for _, k, value, lower, upper, _ in rows:
+                assert Fraction(lower) <= int(value) <= int(upper), (h, k)
+
     def test_table_empty_range(self):
         code, out = run_cli(["table", "--h", "2", "--k-min", "5", "--k-max", "4"])
         assert code == 0
@@ -350,7 +362,8 @@ class TestPinnedPayloads:
         (["search", "--h", "2", "--k", "5"],
          "53489baa1dfd35b112b4a03a48116716ba900b21a5390b45dcff96d3532b0400"),
         (["table", "--h", "2", "--k-max", "4"],
-         "93fbbf1cb8e3450aa2d61d413c4b414713c1d96c164c62e83234abeaf49ce199"),
+         # re-pinned when table moved its Rohrbach bounds to k - 1 (was 93fbbf1c...)
+         "d7794a6a36c26afc3c85ec3b9dee92f4d13f63340aadb96219d864db54dffe55"),
     ]
 
     def test_payload_hashes(self, tmp_path):

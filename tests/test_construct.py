@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hbasis import construct
@@ -207,8 +208,27 @@ class TestBuildTheorem1:
         plan = plan_params(10 ** 4, 3, 1, 2)
         res = build_theorem1(plan)
         text = repr(res)
-        assert "b_layers" not in text and "y_combos" not in text
+        assert all(name not in text for name in ("b_layers", "y_combos", "y_first"))
         assert build_theorem1(plan) == res
+
+    # (n, h, k, a): multi-lift (max H >= q), a perfect power with its z = n
+    # failure, two small overrides and a default plan
+    START_PLANS = ((10 ** 5, 7, None, None), (10 ** 5, 5, 2, 4), (10 ** 4, 4, 1, 3),
+                   (10 ** 4, 3, 1, 2), (10 ** 5, 4, None, None))
+
+    @pytest.mark.parametrize("n,h,k,a", START_PLANS)
+    def test_scan_start_is_first_liftable_combo(self, n, h, k, a):
+        res = build_theorem1(plan_params(n, h, k, a))
+        q, combos = res.plan.q, res.y_combos
+        h_bits = res.b_layers[res.plan.h - res.plan.a]
+        # H mod q from H itself: every x <= max(H) set in H's mask
+        h_res = {x % q for x in range(h_bits.bit_length()) if (h_bits >> x) & 1}
+        oracle = [next((c for c, (y, _) in enumerate(combos) if (r - y) % q in h_res),
+                       len(combos)) for r in range(q)]
+        assert list(combos) == sorted(combos)
+        assert res.y_first.dtype == np.int32 and res.y_first.shape == (q,)
+        assert not res.y_first.flags.writeable
+        assert res.y_first.tolist() == oracle
 
     def test_verification_is_exhaustive(self):
         plan = plan_params(2000, 3, 1, 2)
@@ -279,6 +299,31 @@ class TestPinnedWitnesses:
                 except DecompositionError:
                     line = f"{z} err\n"
                 digest.update(line.encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestPinnedDefaultScan:
+    # SHA-256 over the witness (or "err") of the decompose benchmark's query
+    # shape on the default (1e7, 6) plan: 765 family combos, most of them
+    # skipped by the per-residue scan start.  20,000 z from Random(0) plus
+    # the top window [n - 999, n], recorded while every scan began at the
+    # first combo.
+    DIGEST = "15e786dd8b10b67b46bed9fd6d994caed935a7768fb28e505f139d64c335bdf0"
+
+    def test_benchmark_queries(self):
+        res = build_theorem1(plan_params(10 ** 7, 6))
+        n = res.plan.n
+        assert len(res.y_combos) == 765
+        rng = random.Random(0)
+        zs = [rng.randint(0, n) for _ in range(20_000)] + list(range(n - 999, n + 1))
+        digest = hashlib.sha256()
+        for z in zs:
+            try:
+                w = decompose(z, res)
+                line = f"{z} {w.addends} {w.from_a} {w.from_b} {w.from_c} {w.from_d}\n"
+            except DecompositionError:
+                line = f"{z} err\n"
+            digest.update(line.encode())
         assert digest.hexdigest() == self.DIGEST
 
 
