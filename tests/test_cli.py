@@ -362,7 +362,6 @@ class TestPinnedPayloads:
         (["search", "--h", "2", "--k", "5"],
          "53489baa1dfd35b112b4a03a48116716ba900b21a5390b45dcff96d3532b0400"),
         (["table", "--h", "2", "--k-max", "4"],
-         # re-pinned when table moved its Rohrbach bounds to k - 1 (was 93fbbf1c...)
          "d7794a6a36c26afc3c85ec3b9dee92f4d13f63340aadb96219d864db54dffe55"),
     ]
 
