@@ -15,8 +15,10 @@ uncovered masks.  When the base A lies in a window [0, L) short against q,
 the round then keeps that array current locally: picking x newly covers
 R = U & (A + x), and only the shifts x + d with |d| < L can lose gain, each
 by |(A + x + d) & R|, a linear correlation of A's window with R - x that one
-power-of-two FFT of length >= 2L computes.  A base whose window FFT would be
-longer than q/2 recomputes the full correlation before every pick instead.
+power-of-two FFT of length n >= 2L computes.  The window is taken whenever
+n < q, which also keeps the 2L - 1 shifts of the drop distinct mod q; a base
+whose window FFT would be q or longer recomputes the full correlation
+before every pick instead.
 Counts are whole numbers up to q <= 2**26 (the memory budget), exact in
 float64 (below 2**53) once rounded, so both paths hold exact gains and the
 smallest-shift tie-break is an argmax over exact values.
@@ -84,20 +86,26 @@ def _correlate(mask: int, length: int, conj: np.ndarray, n: int) -> np.ndarray:
 
 
 def gains_bytes(q: int) -> int:
-    """Peak bytes of a gains pass over Z_q: measured 25.3-25.7 per residue at q = 2**20."""
+    """Peak bytes of a gains pass over Z_q: measured 25.0-25.7 per residue at q = 2**20
+    and 3 * 2**18, and 32.8 with a window FFT of q - 1 points (about 8q + 24n per pick)."""
     return 34 * q
 
 
 def _window_len(base_len: int, q: int) -> int:
     """FFT length of the windowed drop for a base inside [0, base_len), or 0.
 
-    The power of two >= 2 * base_len keeps every difference in
-    (-base_len, base_len) apart.  0 selects the full recompute when that
-    length exceeds q/2: between q/2 and q the window's per-pick work
-    measured slower than one full FFT on smooth q such as 270,000.
+    The power of two n >= 2 * base_len keeps every difference in
+    (-base_len, base_len) apart.  The window is taken whenever n < q: then
+    2 * base_len - 1 < q, so the drop's shifts x + d never meet mod q.  0
+    selects the full recompute.  The window's FFT is the shorter one, but on
+    a smooth q not much longer than n one full FFT can still be cheaper: at
+    q = 270,000 and base_len = 131,000 a round's picks measured 0.174 s in
+    full and 0.215 s windowed.  No default plan meets that case; every
+    default round that switched to the window got faster (q = 456,976,
+    13^4 * 2^4: 2^18-point window FFTs against q-point full ones).
     """
     n = 1 << (2 * base_len - 1).bit_length()
-    return n if 2 * n <= q else 0
+    return n if n < q else 0
 
 
 def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
@@ -110,9 +118,14 @@ def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
     at the even _window_len length n = 2 * (bins - 1).
     """
     n = 2 * (window_conj.size - 1)
-    # corr[d mod n] = |(A + d) & covered|; roll puts d = -(L - 1) first
-    corr = np.roll(_correlate(covered, base_len, window_conj, n), base_len - 1)[:2 * base_len - 1]
-    gains[np.arange(x - base_len + 1, x + base_len) % gains.size] -= corr
+    # corr[d mod n] = |(A + d) & covered|; drop[i] is d = i - (L - 1)
+    corr = _correlate(covered, base_len, window_conj, n)
+    drop = np.concatenate((corr[n - base_len + 1:], corr[:base_len]))
+    # gains[lo:lo + 2L - 1] mod q, as at most two slices (2L - 1 < q)
+    lo = (x - base_len + 1) % gains.size
+    head = min(drop.size, gains.size - lo)
+    gains[lo:lo + head] -= drop[:head]
+    gains[:drop.size - head] -= drop[head:]
 
 
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
@@ -136,11 +149,15 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     base_len = A.bits.bit_length()
     n = _window_len(base_len, q)
     fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q)))
-    window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n)) if n else None
     uncovered = B.bits
+    gains = _correlate(uncovered, q, fa_conj, q) if uncovered and t else None
+    if n:
+        # only the seed reads A's q-point spectrum here: free it before the
+        # window's, so a pick's FFTs of length n < q peak near 8q + 24n bytes
+        fa_conj = None
+        window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n))
     picks: list[int] = []
     trace: list[int] = []
-    gains = None
     while uncovered and len(picks) < t:
         if gains is None:
             gains = _correlate(uncovered, q, fa_conj, q)

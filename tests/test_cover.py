@@ -139,13 +139,15 @@ def random_instances(count, seed):
 
 class TestIncrementalGains:
     def test_path_rule(self):
-        # window when its power-of-two FFT (>= 2L) is at most q/2
-        assert _window_len(8, 32) == 16
-        assert _window_len(8, 31) == 0
-        assert _window_len(9, 32) == 0
-        assert _window_len(1, 4) == 2 and _window_len(1, 3) == 0
-        # (5, 1e7) round 1; (4, 1e6) round 2, half the length of q
+        # window whenever its power-of-two FFT (>= 2L) is shorter than q
+        assert _window_len(8, 32) == 16 and _window_len(8, 31) == 16
+        assert _window_len(8, 17) == 16 and _window_len(8, 16) == 0
+        assert _window_len(9, 33) == 32 and _window_len(9, 32) == 0
+        assert _window_len(1, 3) == 2 and _window_len(1, 2) == 0
+        # both rounds of (5, 1e7), the construct workload, take the window
         assert _window_len(2733, 456_976) == 8192
+        assert _window_len(128_589, 456_976) == 1 << 18
+        # (4, 1e6) round 2, half the length of q
         assert _window_len(253_741, 1 << 20) == 1 << 19
 
     def test_random_instances_against_oracles(self):
@@ -162,15 +164,17 @@ class TestIncrementalGains:
                 wraps["low"] += any(x < base_len - 1 for x in res.picks)
             else:
                 paths["full"] += 1
-        assert paths == {"window": 124, "full": 116}
+        assert paths == {"window": 168, "full": 72}
         assert wraps["high"] > 0 and wraps["low"] > 0
 
     @pytest.mark.parametrize("q, members, b_members, t", [
         (64, range(8), [60, 62, 63, 0, 1], 3),   # first pick 58 wraps past q - L
         (64, range(8), range(2, 10), 2),         # pick 2: drop window starts below 0
-        (32, [0, 7], range(32), 32),             # 2N = q: window path at its limit
-        (31, [0, 7], range(31), 31),             # one residue less: full path
-        (32, [0, 8], range(32), 32),             # one bit longer: full path
+        (32, [0, 7], range(32), 32),             # window FFT N = 16 = q/2
+        (31, [0, 7], range(31), 31),             # N = 16 > q/2: still windowed
+        (17, [0, 7], range(17), 17),             # N = q - 1: window path at its limit
+        (16, [0, 7], range(16), 16),             # N = q: full path
+        (32, [0, 8], range(32), 32),             # one bit longer, N = 32 = q: full path
         (40, [0, 1], range(40), 40),             # every pick is a tie
         (64, [0, 3, 5], range(64), 0),           # t = 0
         (64, [0, 3, 5], [], 5),                  # empty B
@@ -182,6 +186,23 @@ class TestIncrementalGains:
         assert (res.picks, res.uncovered_trace) == naive_greedy(A, B, t)
         if _window_len(A.bits.bit_length(), q):
             assert windowed_gains_oracle(A, B, t) == res.picks
+
+    @pytest.mark.parametrize("n, h, q", [(10 ** 5, 4, 5832), (10 ** 4, 3, 10_648)])
+    def test_real_base_past_half_q(self, monkeypatch, n, h, q):
+        # the default plan's round 1, whose window FFT lies in (q/2, q):
+        # it recomputed in full under the old q/2 rule
+        rounds = []
+        greedy = cover.greedy_shift_cover
+
+        def recorded(*args):
+            rounds.append((args, greedy(*args)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(cover, "greedy_shift_cover", recorded)
+        build_theorem1(plan_params(n, h))
+        (A, B, t), res = rounds[0]
+        assert A.q == q and q < 2 * _window_len(A.bits.bit_length(), q) < 2 * q
+        assert windowed_gains_oracle(A, B, t) == res.picks
 
 
 class TestKComplement:
@@ -278,6 +299,23 @@ class TestGainsModel:
             assert peak <= gains_bytes(q) <= 2 * peak, fn.__name__
             assert peak <= 28 * q, fn.__name__
 
+    @pytest.mark.parametrize("q, base_len, per_residue", [
+        (3 << 18, 200_000, 28),       # window FFT 2**19 in (q/2, q): 25.0 measured
+        ((1 << 19) + 1, 1 << 18, 34),  # window FFT q - 1: 32.8 measured
+    ])
+    def test_window_past_half_q(self, q, base_len, per_residue):
+        # a window FFT of n < q points costs about 8q + 24n bytes per pick
+        base = ResidueSet(q, (1 << base_len) - 1)
+        assert q < 2 * _window_len(base_len, q) < 2 * q
+        tracemalloc.start()
+        try:
+            greedy_shift_cover(base, ResidueSet.full(q), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gains_bytes(q) <= 2 * peak
+        assert peak <= per_residue * q
+
 
 class TestComplementSizeBound:
     def test_examples(self):
@@ -296,7 +334,10 @@ class TestPinnedPicks:
     # build_theorem1 builds C on four default plans, recorded while every
     # pick still came from its own full-length FFT.  Round 1 of each plan,
     # the only round of (3, 2e5) (231 picks) included, runs on the windowed
-    # drop; round 2 of the other three recomputes in full.
+    # drop, and so does round 2 of (5, 1e7) (32 picks, window FFT 2**18 <
+    # q = 456,976), which recomputed in full under the earlier q/2 rule with
+    # the same digest; round 2 of (5, 1e6) and (6, 1e7), whose window FFT
+    # would not be shorter than q, recomputes in full.
     PLANS = ((10 ** 6, 5), (10 ** 7, 6), (2 * 10 ** 5, 3), (10 ** 7, 5))
     DIGEST = "e1488d507e198a21fbfda4865f1b91207f4af3efd78402ba98fc190e835b8cc7"
 
