@@ -97,12 +97,10 @@ def _window_len(base_len: int, q: int) -> int:
     The power of two n >= 2 * base_len keeps every difference in
     (-base_len, base_len) apart.  The window is taken whenever n < q: then
     2 * base_len - 1 < q, so the drop's shifts x + d never meet mod q.  0
-    selects the full recompute.  The window's FFT is the shorter one, but on
-    a smooth q not much longer than n one full FFT can still be cheaper: at
-    q = 270,000 and base_len = 131,000 a round's picks measured 0.174 s in
-    full and 0.215 s windowed.  No default plan meets that case; every
-    default round that switched to the window got faster (q = 456,976,
-    13^4 * 2^4: 2^18-point window FFTs against q-point full ones).
+    selects the full recompute.  A shorter FFT is not always a cheaper pick:
+    on the smooth q = 270,000 with base_len = 131,000 (n = 2**18), 25 picks
+    measured 0.17 s in full and 0.18-0.21 s windowed, and at q = 625 with
+    n = 512 the window's fixed per-pick work outweighs its FFT saving.
     """
     n = 1 << (2 * base_len - 1).bit_length()
     return n if n < q else 0
@@ -118,14 +116,16 @@ def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
     at the even _window_len length n = 2 * (bins - 1).
     """
     n = 2 * (window_conj.size - 1)
-    # corr[d mod n] = |(A + d) & covered|; drop[i] is d = i - (L - 1)
-    corr = _correlate(covered, base_len, window_conj, n)
-    drop = np.concatenate((corr[n - base_len + 1:], corr[:base_len]))
-    # gains[lo:lo + 2L - 1] mod q, as at most two slices (2L - 1 < q)
+    span = 2 * base_len - 1
+    # covered moved up to [L - 1, 2L - 1): drop[i] = |(A + i - (L - 1)) & covered|,
+    # unwrapped for i < span since n >= 2L
+    drop = _correlate(covered << (base_len - 1), span, window_conj, n)[:span]
+    # gains[lo:lo + span] mod q, as at most two slices (span < q)
     lo = (x - base_len + 1) % gains.size
-    head = min(drop.size, gains.size - lo)
+    head = min(span, gains.size - lo)
     gains[lo:lo + head] -= drop[:head]
-    gains[:drop.size - head] -= drop[head:]
+    if head < span:
+        gains[:span - head] -= drop[head:]
 
 
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
@@ -166,10 +166,10 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
         uncovered ^= covered
         picks.append(x)
         trace.append(uncovered.bit_count())
-        if n:
-            _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
-        else:
+        if not n:
             gains = None  # freed before the next full recompute
+        elif uncovered and len(picks) < t:  # the last pick's drop would go unread
+            _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
     return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=ResidueSet(q, uncovered),
                       picks=tuple(picks), uncovered_trace=tuple(trace))
 
