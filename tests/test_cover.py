@@ -143,7 +143,7 @@ class TestIncrementalGains:
         assert _window_len(8, 32) == 16 and _window_len(8, 31) == 16
         assert _window_len(8, 17) == 16 and _window_len(8, 16) == 0
         assert _window_len(9, 33) == 32 and _window_len(9, 32) == 0
-        assert _window_len(1, 3) == 2 and _window_len(1, 2) == 0
+        assert _window_len(1, 4) == 2 and _window_len(1, 3) == 2 and _window_len(1, 2) == 0
         # both rounds of (5, 1e7), the construct workload, take the window
         assert _window_len(2733, 456_976) == 8192
         assert _window_len(128_589, 456_976) == 1 << 18
@@ -171,13 +171,13 @@ class TestIncrementalGains:
         (64, range(8), [60, 62, 63, 0, 1], 3),   # first pick 58 wraps past q - L
         (64, range(8), range(2, 10), 2),         # pick 2: drop window starts below 0
         (32, [0, 7], range(32), 32),             # window FFT N = 16 = q/2
-        (31, [0, 7], range(31), 31),             # N = 16 > q/2: still windowed
-        (17, [0, 7], range(17), 17),             # N = q - 1: window path at its limit
-        (16, [0, 7], range(16), 16),             # N = q: full path
+        (31, [0, 7], range(31), 31),             # N = 16 > q/2: windowed
         (32, [0, 8], range(32), 32),             # one bit longer, N = 32 = q: full path
         (40, [0, 1], range(40), 40),             # every pick is a tie
         (64, [0, 3, 5], range(64), 0),           # t = 0
         (64, [0, 3, 5], [], 5),                  # empty B
+        (17, [0, 7], range(17), 17),             # N = q - 1: window path at its limit
+        (16, [0, 7], range(16), 16),             # N = q: full path
     ])
     def test_edge_cases(self, q, members, b_members, t):
         A = ResidueSet.from_iterable(q, members)
@@ -189,8 +189,7 @@ class TestIncrementalGains:
 
     @pytest.mark.parametrize("n, h, q", [(10 ** 5, 4, 5832), (10 ** 4, 3, 10_648)])
     def test_real_base_past_half_q(self, monkeypatch, n, h, q):
-        # the default plan's round 1, whose window FFT lies in (q/2, q):
-        # it recomputed in full under the old q/2 rule
+        # the default plan's round 1, whose window FFT lies in (q/2, q)
         rounds = []
         greedy = cover.greedy_shift_cover
 
@@ -335,8 +334,7 @@ class TestPinnedPicks:
     # pick still came from its own full-length FFT.  Round 1 of each plan,
     # the only round of (3, 2e5) (231 picks) included, runs on the windowed
     # drop, and so does round 2 of (5, 1e7) (32 picks, window FFT 2**18 <
-    # q = 456,976), which recomputed in full under the earlier q/2 rule with
-    # the same digest; round 2 of (5, 1e6) and (6, 1e7), whose window FFT
+    # q = 456,976); round 2 of (5, 1e6) and (6, 1e7), whose window FFT
     # would not be shorter than q, recomputes in full.
     PLANS = ((10 ** 6, 5), (10 ** 7, 6), (2 * 10 ** 5, 3), (10 ** 7, 5))
     DIGEST = "e1488d507e198a21fbfda4865f1b91207f4af3efd78402ba98fc190e835b8cc7"
