@@ -31,7 +31,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .arith import check_bytes, rotate, to_bools
+from .arith import check_bytes, iroot_ceil, rotate, to_bools
 from .sumset import ResidueSet, residue_sumset
 
 
@@ -175,10 +175,19 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
 
 
 def complement_size_bound(q: int, alpha: int, k: int) -> int:
-    """k * ceil((q ln q / alpha)^{1/k}) + ceil(ln q)."""
+    """k * ceil((q ln q / alpha)^{1/k}) + ceil(ln q).
+
+    Where q ln q / alpha passes the float range, the root is replaced by an
+    integer upper bound, iroot_ceil(ceil(q b / alpha), k) with b the bit
+    length of q (b > ln q), so no q is refused for its size.
+    """
     if q < 2 or alpha < 1 or k < 1:
         raise ValueError("need q >= 2, alpha >= 1, k >= 1")
-    return k * ceil((q * log(q) / alpha) ** (1.0 / k)) + ceil(log(q))
+    try:
+        root = ceil((q * log(q) / alpha) ** (1.0 / k))
+    except OverflowError:
+        root = iroot_ceil(-(-q * q.bit_length() // alpha), k)
+    return k * root + ceil(log(q))
 
 
 def k_complement(A: ResidueSet, k: int) -> ComplementFamily:

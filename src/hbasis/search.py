@@ -4,6 +4,13 @@ Convention: 0 must be an element (it is the only way 0 gets an exactly-h
 representation) and it counts toward |A|.  Classical postage-stamp tables
 count denominations without 0 and are therefore offset by one in k; the
 exhaustive oracle here is the ground truth instead.
+
+The search prunes a prefix by two admissible bounds on what its
+completions can reach: each new element lifts the reach n to at most
+h(n + 1), and with r elements to add Rohrbach's counting argument on the
+prefix's real sum counts S_j leaves at most sum_i |S_{h-i}| C(r+i-1, i)
+sums.  Children of a node one element short of k are leaves, evaluated in
+the node's own loop rather than pushed.
 """
 
 from __future__ import annotations
@@ -56,11 +63,29 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     pushed largest first, so the visit order is the recursive one at any k.
     The first expansion at each new largest reach checks the memory budget
     for its node and children: (reach + 2) h masks of h (reach + 1) bits.
+
+    A node with r elements still to add is pruned when it cannot beat the
+    incumbent by either bound: `_optimistic_reach`, then the count bound.
+    Every sum of at most h elements of the completed set is a sum of at
+    most h - i prefix elements plus i of the r new ones, so at most
+    sum_{i=0..h} |S_{h-i}| C(r+i-1, i) values (|S_0| = 1) are reachable and
+    the reach is at most that count minus 1 (Rohrbach's argument on the
+    prefix's real sum counts).  The carried masks are unclipped, so their
+    popcounts are exact.  Both prunes are strict, so the witness stays the
+    first strict improvement in visit order.
+
+    At r = 1 every child is a leaf, so the node evaluates them in its own
+    loop in ascending e, the order the stack would pop them: each builds
+    only its S_h chain, counts as a node under the budget and is compared
+    with the incumbent.  Value, witness and nodes_explored are those of
+    pushing them.
     """
     if h < 1 or k < 1:
         raise ValueError("need h >= 1, k >= 1")
     check_bytes(8 * h, f"the root's {h} search layers")  # one tuple slot each
     cap = comb(k + h, h)
+    # weights[r - 1][j] = C(r + h - j - 1, h - j): the multisets of h - j of r new elements
+    weights = [[comb(r + h - j - 1, h - j) for j in range(h + 1)] for r in range(1, k)]
     best_val = -1
     best_wit: tuple[int, ...] = ()
     nodes = 0
@@ -73,17 +98,44 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
         if nodes > node_budget:
             exhausted = True
             break
-        if len(prefix) == k:
+        r = k - len(prefix)
+        if r == 0:
             if reach > best_val:
                 best_val = reach
                 best_wit = prefix
             continue
-        if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
+        if _optimistic_reach(h, reach, r, cap) <= best_val:
+            continue
+        w = weights[r - 1]
+        count = w[0]
+        for j, layer in enumerate(layers, 1):
+            count += w[j] * layer.bit_count()
+        if count <= best_val + 1:
             continue
         if reach > checked:
             check_bytes((reach + 2) * h * mask_bytes(h * (reach + 1)),
                         f"the children of a search node at reach {reach}, h = {h},")
             checked = reach
+        if r == 1:
+            # a leaf beats the incumbent iff its S_h holds all of [0, best_val + 1]
+            low = (2 << (best_val + 1)) - 1
+            for e in range(prefix[-1] + 1, reach + 2):
+                nodes += 1
+                if nodes > node_budget:
+                    exhausted = True
+                    break
+                s = 1
+                for layer in layers:
+                    s = layer | (s << e)
+                if ~s & low:
+                    continue
+                hole = ~(s >> (reach + 1))
+                best_val = reach + (hole & -hole).bit_length() - 1
+                best_wit = prefix + (e,)
+                low = (2 << (best_val + 1)) - 1
+            if exhausted:
+                break
+            continue
         for e in range(reach + 1, prefix[-1], -1):
             grown = []
             s = 1

@@ -11,6 +11,7 @@ from hbasis.bounds import (bose_chowla_lower, bound_reports,
                            improved_quadratic, rohrbach, rohrbach_quadratic,
                            zeta_upper_hofmeister, zeta_upper_theorem1)
 from hbasis.construct import tau
+from hbasis.search import extremal_n
 from hbasis.sidon import bose_chowla
 
 
@@ -141,3 +142,27 @@ class TestBoundReports:
             bound_reports(1369, k=1)
         for r in bound_reports(1368, k=1):
             assert len(str(r.value)) < 2 * 4300
+
+
+class TestAgainstExactSearch:
+    # the proven n(h, k) counts 0 among its k elements and the closed forms
+    # count positive denominations, so each k is compared with bounds at k - 1
+    K_MAX = {2: 12, 3: 8, 4: 7, 5: 6, 6: 6}
+
+    def test_every_bound_holds_up_to_its_stated_drop(self):
+        compared, over = 0, []
+        for h, k_max in self.K_MAX.items():
+            for k in range(2, k_max + 1):
+                exact = extremal_n(h, k)
+                assert exact.proof_of_optimality, (h, k)
+                for r in bound_reports(h, k - 1):
+                    compared += 1
+                    if r.direction == "upper":
+                        assert exact.value <= r.value, (r.name, h, k)
+                    elif r.value > exact.value:
+                        # only the stated delta <= 1 may lift a lower bound past n(h, k)
+                        assert r.asymptotic_terms_dropped == "delta <= 1", (r.name, h, k)
+                        assert r.value <= exact.value + 1, (r.name, h, k)
+                        over.append((r.name, h, k))
+        assert compared == 135
+        assert over == [("rohrbach_quadratic", 2, k) for k in (2, 3, 4, 6, 7, 8)]

@@ -102,6 +102,16 @@ class TestConstruct:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("h", [1023, 1024])
+    def test_grid_past_the_float_range(self, h):
+        # the grid's largest q passes the float range (about 1.8e308) here, and
+        # its size bound used to refuse the whole grid; the pair chosen has q = 8
+        code, out = run_cli(["construct", "--n", "2", "--h", str(h)])
+        assert code == 0
+        doc = parse_document(out)
+        assert (doc["plan.k"], doc["plan.a"], doc["plan.q"]) == ("1", str(h - 2), "8")
+        assert doc["verified"] == "true"
+
     def test_emitted_basis_reverifies(self, tmp_path):
         emit = tmp_path / "g.txt"
         run_cli(["construct", "--n", "5000", "--h", "3",

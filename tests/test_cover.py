@@ -3,7 +3,7 @@
 import hashlib
 import random
 import tracemalloc
-from math import ceil, log
+from math import ceil, exp, log
 
 import numpy as np
 import pytest
@@ -215,6 +215,15 @@ class TestKComplement:
         assert fam.families[0].members == (0, 4)
         assert fam.complete
         assert fam.total_shifts <= complement_size_bound(8, 4, 1)
+
+    def test_size_bound_past_the_float_range(self):
+        # q ln q / alpha is no float here: the root is bounded above by an
+        # integer one that reads q's bit length b > ln q in place of ln q
+        for q, alpha, k in [(2 ** 1100, 2 ** 1090, 1), (2 ** 1023, 1, 3), (3 ** 700, 5, 2)]:
+            root = exp((log(q) + log(log(q)) - log(alpha)) / k)
+            slack = (q.bit_length() / log(q)) ** (1 / k)
+            bound = complement_size_bound(q, alpha, k) - ceil(log(q))
+            assert k * root <= bound <= k * (root * slack * (1 + 1e-9) + 1), (q, alpha, k)
 
     def test_singleton_base(self):
         for q in (4, 9, 16):

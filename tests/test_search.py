@@ -10,12 +10,21 @@ from hbasis.arith import GuardError
 from hbasis.bounds import rohrbach
 from hbasis.search import (BudgetExhausted, SearchResult, _optimistic_reach,
                            extremal_n, oracle_exhaustive, zeta_exact)
-from hbasis.sumset import BasisSet, n_of, verify_basis
+from hbasis.sumset import BasisSet, coverage_layers, n_of, verify_basis
+
+
+def count_bound(prefix, h, r):
+    """Most a prefix containing 0 can reach with r more elements: a sum of at
+    most h elements takes i of the new ones and at most h - i of the prefix,
+    so at most sum_i |S_{h-i}| C(r+i-1, i) values are sums.  S_j, the sums of
+    at most j prefix elements, is the exactly-j layer, since 0 is in it."""
+    layers = coverage_layers(BasisSet(tuple(prefix)), h, h * max(prefix))
+    return sum(layers[h - i].bit_count() * comb(r + i - 1, i) for i in range(h + 1)) - 1
 
 
 def extremal_n_naive(h, k, node_budget=1_000_000):
-    """Reference: the same depth-first search, recursive, with n_of run from
-    scratch on every prefix."""
+    """Reference: the same depth-first search, recursive, with n_of and the
+    count bound's layers computed from scratch on every prefix."""
     cap = comb(k + h, h)
     best_val = -1
     best_wit = ()
@@ -36,6 +45,8 @@ def extremal_n_naive(h, k, node_budget=1_000_000):
                 best_wit = tuple(prefix)
             return
         if _optimistic_reach(h, reach, k - len(prefix), cap) <= best_val:
+            return
+        if count_bound(prefix, h, k - len(prefix)) <= best_val:
             return
         for e in range(prefix[-1] + 1, reach + 2):
             prefix.append(e)
@@ -107,25 +118,66 @@ class TestAgainstReference:
                 assert outcome(extremal_n(h, k)) == outcome(extremal_n_naive(h, k)), (h, k)
 
     def test_matches_reference_under_budget(self):
-        for budget in (1, 2, 5, 10, 50):
+        # (3, 6) proves in 853 nodes and (2, 9) in 7,467, most of them leaves
+        # evaluated in their parent's loop, so most of these stops fall
+        # inside a leaf run
+        for budget in [*range(1, 301), 852, 853]:
             assert (outcome(extremal_n(3, 6, budget))
                     == outcome(extremal_n_naive(3, 6, budget))), budget
+        for budget in (100, 1000, 2500, 5000, 7466, 7467):
+            assert (outcome(extremal_n(2, 9, budget))
+                    == outcome(extremal_n_naive(2, 9, budget))), budget
+
+
+def best_completion(prefix, h, r):
+    """Best n(h, .) over the prefix plus r larger elements, by n_of on each
+    completion.  A completion whose next element passes the reach of the set
+    before it plus one strands that gap, so it reaches no further than that
+    set does; the others are all enumerated."""
+    reach = n_of(BasisSet(tuple(prefix)), h)
+    successors = range(prefix[-1] + 1, reach + 2)
+    if r == 0 or not successors:
+        return reach
+    return max(best_completion(prefix + [e], h, r - 1) for e in successors)
+
+
+class TestCountBound:
+    def test_admissible(self):
+        # prefixes grown by the successor rule, or one past it (a stranded gap)
+        rng = random.Random(28)
+        tight = 0
+        for _ in range(200):
+            h, k = rng.randint(1, 4), rng.randint(2, 6)
+            prefix = [0]
+            for _ in range(rng.randint(0, k - 2)):
+                reach = n_of(BasisSet(tuple(prefix)), h)
+                prefix.append(rng.randint(prefix[-1] + 1, max(prefix[-1], reach + 1) + 1))
+            r = k - len(prefix)
+            bound, best = count_bound(prefix, h, r), best_completion(prefix, h, r)
+            assert best <= bound, (h, prefix, r)
+            tight += best == bound
+        assert tight > 0  # so a bound one lower would fail
 
 
 class TestPinnedLadder:
     """The benchmark's search ladder, pinned from the recursive search:
-    664,059 nodes in all."""
+    465,798 nodes in all (664,059 before the count bound)."""
 
     LADDER = [
-        (2, 11, 46, (0, 1, 2, 3, 7, 11, 15, 19, 21, 22, 24), 349_134),
-        (3, 8, 70, (0, 1, 4, 5, 15, 18, 27, 34), 125_484),
-        (4, 7, 108, (0, 1, 4, 9, 16, 38, 49), 114_606),
-        (6, 6, 216, (0, 1, 7, 12, 43, 52), 74_835),
+        (2, 11, 46, (0, 1, 2, 3, 7, 11, 15, 19, 21, 22, 24), 175_424),
+        (3, 8, 70, (0, 1, 4, 5, 15, 18, 27, 34), 112_561),
+        (4, 7, 108, (0, 1, 4, 9, 16, 38, 49), 106_663),
+        (6, 6, 216, (0, 1, 7, 12, 43, 52), 71_150),
     ]
 
     def test_ladder(self):
         for h, k, value, witness, nodes in self.LADDER:
             assert outcome(extremal_n(h, k)) == (value, witness, nodes, True), (h, k)
+
+    def test_h2_k12(self):
+        # 2,361,360 nodes before the count bound
+        assert outcome(extremal_n(2, 12)) == (
+            54, (0, 1, 2, 3, 7, 11, 15, 19, 23, 25, 26, 28), 894_851, True)
 
 
 class TestExpansionBudget:
