@@ -50,6 +50,15 @@ def _optimistic_reach(h: int, n0: int, remaining: int, cap: int) -> int:
     return min(b, cap)
 
 
+def _count_weights(h: int, r: int) -> list[int]:
+    """[C(r+h-j-1, h-j) for j = 0..h]: the multisets of h - j of r new
+    elements, each paired with the prefix's S_j in the count bound."""
+    c = [1]
+    for i in range(1, h + 1):
+        c.append(c[-1] * (r + i - 1) // i)
+    return c[::-1]
+
+
 def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     """Exact max of n(h, A) over |A| = k, depth-first with the successor rule
     a_next <= n(h, prefix) + 1 (a larger element strands the first gap) and
@@ -84,8 +93,9 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
         raise ValueError("need h >= 1, k >= 1")
     check_bytes(8 * h, f"the root's {h} search layers")  # one tuple slot each
     cap = comb(k + h, h)
-    # weights[r - 1][j] = C(r + h - j - 1, h - j): the multisets of h - j of r new elements
-    weights = [[comb(r + h - j - 1, h - j) for j in range(h + 1)] for r in range(1, k)]
+    # r -> _count_weights(h, r), built as the search first reaches r: a full
+    # table is k (h + 1) binomials before the memory budget can refuse anything
+    weights: dict[int, list[int]] = {}
     best_val = -1
     best_wit: tuple[int, ...] = ()
     nodes = 0
@@ -106,7 +116,9 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
             continue
         if _optimistic_reach(h, reach, r, cap) <= best_val:
             continue
-        w = weights[r - 1]
+        w = weights.get(r)
+        if w is None:
+            w = weights[r] = _count_weights(h, r)
         count = w[0]
         for j, layer in enumerate(layers, 1):
             count += w[j] * layer.bit_count()

@@ -158,6 +158,12 @@ class TestCountBound:
             tight += best == bound
         assert tight > 0  # so a bound one lower would fail
 
+    def test_weights_built_only_for_depths_reached(self):
+        # the memory budget refuses this at the root's child; a full
+        # k x (h + 1) table of binomials, built first, would take minutes
+        with pytest.raises(GuardError, match="search node at reach 2000, h = 2000,"):
+            extremal_n(2000, 2000)
+
 
 class TestPinnedLadder:
     """The benchmark's search ladder, pinned from the recursive search:
