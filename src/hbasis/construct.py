@@ -16,16 +16,21 @@ Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
 The result also keeps, outside its repr and equality, what decompose
 reads and nothing already held elsewhere: B's layer stack, the family
-combos and a per-residue start index into them.  A's digit base b follows
-from |A| = h(b-1) + 1, max(H) is (h-a) max(B), and each lift of a residue
-is tested on H's own mask.
+combos and a per-residue index into them.  A's digit base b follows
+from |A| = h(b-1) + 1, and each lift of a residue is tested on H's own
+mask.
 
-The start index y_first[r] is the least combo c with r - y_c mod q in
-H mod q, or the combo count if none has it.  A combo before it has no
-lift x <= max(H) in H at all, so the scan that starts there returns what
-a scan from the first combo would, witness for witness and error for
-error.  It takes 4q bytes (int32), inside the gains_bytes(q) = 34q that
-plan_params already checks for the greedy over the same Z_q.
+The index y_first[r] is the least combo c with r - y_c mod q in H mod q,
+or the combo count if none has it, which k_complement's exhaustive
+completeness check rules out.  It takes 4q bytes (int32), inside the
+gains_bytes(q) = 34q that plan_params already checks for the greedy over
+the same Z_q.
+
+Every plan carries the invariant decompose relies on: p^h > n, and the
+headroom of `_headroom` (h*q > n, or (h-a) max(B) + k(q-1) < h*q).  So
+the first pick is final.  For z = s*q + r >= h*q, the combo y = y_first[r]
+and its least lift x in H give an overshoot t = (x + y - r)/q <= h - 1 < s,
+and s - t <= n // q < p^{a-k}: the quotient is a digit string of D.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ _TAU = tau()
 class ConstructionPlan:
     n: int
     h: int
-    p: int       # ceil(n^{1/h})
+    p: int       # least p with p^h > n
     k: int
     a: int       # 1 <= k <= a < h
     m: int       # p^{h-a} (h-a)!
@@ -119,29 +124,41 @@ class InfeasibleParameters(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """A z admitted no in-headroom decomposition: a construction counterexample."""
+    """No family combo lifts z's residue into H: a construction counterexample."""
 
 
-def _p_prime(p: int, h_a: int) -> int:
-    """Least prime >= (p^{h-a} (h-a)!)^{1/(h-a)}: the field of B's Bose-Chowla B_{h-a} set."""
-    return next_prime_at_least(iroot_ceil(p ** h_a * factorial(h_a), h_a))
+def _b_field(p: int, h_a: int) -> tuple[int, int]:
+    """(p', max B bound): p' the least prime >= (p^{h-a} (h-a)!)^{1/(h-a)}, the field
+    of B's Bose-Chowla B_{h-a} set, below p'^{h-a} - 1; B = [0, p') at h-a = 1."""
+    p_prime = next_prime_at_least(iroot_ceil(p ** h_a * factorial(h_a), h_a))
+    return p_prime, p_prime - 1 if h_a == 1 else p_prime ** h_a - 2
+
+
+def _headroom(n: int, h: int, h_a: int, k: int, q: int, max_b: int) -> bool:
+    """Whether decompose's first pick fits D's digits under the pair with these q, max(B).
+
+    Either h*q > n, so every z <= n takes A's digit path, or a lift
+    x <= (h-a) max(B) plus a combo y <= k(q-1) stays below h*q, so their
+    overshoot floor((x + y - r)/q) is at most h - 1, below every quotient
+    s >= h of the path.
+    """
+    return h * q > n or h_a * max_b + k * (q - 1) < h * q
 
 
 def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
     """(k, a, p') in 1 <= k <= a <= h-2 of least |G| ledger, ties to the least k, then a.
 
     The ledger adds |A| (digit basis of [0, hq]), p', complement_size_bound and |D|.
-    A pair is kept only within decompose's headroom: h*q > n (z never leaves A's digit
-    path), or the worst-case quotient of x + y by q, with max(B) from p', is below h.
+    Only pairs with `_headroom` are ranked; q and max(B) step per k and a.
     """
     best = None
     for a in range(1, h - 1):
-        h_a, p_prime = h - a, _p_prime(p, h - a)
-        max_b = p_prime - 1 if h_a == 1 else p_prime ** h_a - 2
+        h_a = h - a
+        p_prime, max_b = _b_field(p, h_a)
         alpha = q = p ** h_a
         for k in range(1, a + 1):
             q *= p
-            if h * q <= n and (h_a * max_b + k * (q - 1)) // q >= h:
+            if not _headroom(n, h, h_a, k, q, max_b):
                 continue
             size = (1 + (iroot_ceil(h * q + 1, h) - 1) * h + p_prime
                     + complement_size_bound(q, alpha, k) + 1 + (p - 1) * (a - k))
@@ -151,15 +168,23 @@ def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
     return best[1:]
 
 
+def _gains_q(p: int, e: int) -> int:
+    """q = p^e after its greedy gains pass fits the memory budget."""
+    check_bytes(gains_bytes(p ** e), f"gains over Z_q, q = {p}^{e},")
+    return p ** e
+
+
 def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> ConstructionPlan:
     """Pick (k, a): paper formulas when feasible, else a grid over small pairs.
 
-    The formula k = ceil(ln ln n / tau), a = k + ceil(2 ln h) is only
-    feasible for large h; at desk scale `_grid_pair` walks 1 <= k <= a <= h-2
-    and minimizes the predicted |G| ledger over pairs whose decomposition
-    headroom holds.  Explicit overrides bypass both after validation.
-    p = ceil(n^{1/h}) is taken once and p' once per a; a verify, gains or B
-    layer stack over the memory budget is refused before the plan is built.
+    p is the least integer with p^h > n.  Every plan keeps `_headroom`, so
+    decompose's first pick is always final (module docstring).  The formula
+    k = ceil(ln ln n / tau), a = k + ceil(2 ln h) is taken when 1 <= k <= a < h
+    and it has headroom; otherwise `_grid_pair` walks 1 <= k <= a <= h-2 and
+    minimizes the predicted |G| ledger over pairs with headroom.  An override
+    that breaks either rule is refused.  p is taken once and p' once per a;
+    a verify, gains or B layer stack over the memory budget is refused before
+    the plan is built, and a formula or override pair's gains before its p'.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -168,7 +193,7 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
         raise InfeasibleParameters("pipeline needs h >= 3; use digit_basis or search")
     if (k is None) != (a is None):
         raise ValueError("override k and a together")
-    p, p_prime = iroot_ceil(n, h), None
+    p, p_prime = iroot_ceil(n + 1, h), None
     if k is not None:
         if not (1 <= k <= a < h):
             raise InfeasibleParameters(f"override violates 1 <= k <= a < h: k={k}, a={a}")
@@ -177,17 +202,24 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
         k = ceil(log(log(n)) / _TAU)
         a = k + ceil(2 * log(h))
         feasibility = "formula-derived"
-    if not 1 <= k <= a < h:  # the formula pair does not fit: grid fallback
+    if 1 <= k <= a < h:
+        q = _gains_q(p, h - a + k)
+        p_prime, max_b = _b_field(p, h - a)
+        if not _headroom(n, h, h - a, k, q, max_b):
+            if feasibility == "override":
+                raise InfeasibleParameters(
+                    f"override leaves decompose no headroom at n={n}, h={h}: k={k}, a={a}")
+            p_prime = None
+    if p_prime is None:  # the formula pair does not fit: grid fallback
         k, a, p_prime = _grid_pair(n, h, p)
         feasibility = "grid-fallback"
+        q = _gains_q(p, h - a + k)
 
-    # the chosen pair only: gains before p', B's layers (B < p'^(h-a)) before its walk
-    h_a, e = h - a, h - a + k
-    check_bytes(gains_bytes(p ** e), f"gains over Z_q, q = {p}^{e},")
-    p_prime = p_prime or _p_prime(p, h_a)
+    # B's layers (B < p'^(h-a)) before its walk
+    h_a = h - a
     check_bytes(layers_bytes(h_a, h_a * p_prime ** h_a), f"B's layers, p' = {p_prime},")
     return ConstructionPlan(n=n, h=h, p=p, k=k, a=a, m=p ** h_a * factorial(h_a),
-                            q=p ** e, p_prime=p_prime, feasibility=feasibility)
+                            q=q, p_prime=p_prime, feasibility=feasibility)
 
 
 def digit_basis(b: int, h: int) -> BasisSet:
@@ -270,13 +302,13 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
 
     z < h*q < b^h is the sum of its h base-b digit terms d_i b^i, all in A;
     largest-first backtracking over A's layers would return the same terms.
-    Otherwise z = s*q + r is matched residue-first: some family combo y and
-    some x in H = (h-a)B satisfy x + y == r (mod q), the combos scanned in
-    order from y_first[r], the first one with any such x; their overshoot
-    t = (x + y - r)/q is folded into the quotient, and s - t is written in
-    base p on D's exponents.
-    Failure to find in-range (x, y) is a construction counterexample and is
-    raised, never papered over.
+    Otherwise z = s*q + r is matched residue-first: y is the combo y_first[r],
+    the first with some x in H = (h-a)B and x + y == r (mod q), and x is the
+    least such lift.  The plan's headroom makes that first pick final: the
+    overshoot t = (x + y - r)/q is at most ((h-a) max(B) + k(q-1)) // q <= h-1
+    < s, and s - t <= n // q < p^{a-k} since p^h > n, so s - t is written in
+    base p on D's exponents.  A residue that no combo lifts is a construction
+    counterexample and is raised, never papered over.
     """
     plan = result.plan
     if not result.verified:
@@ -291,27 +323,20 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
         return DecompositionWitness(z=z, addends=addends, from_a=addends,
                                     from_b=(), from_c=(), from_d=())
 
-    h_bits = result.b_layers[h_a]
-    limit_h = h_a * result.comp_b[-1]
     s, r = divmod(z, q)
-    d_cap = p ** (a - k)
-    combos = result.y_combos
-    for c in range(result.y_first[r], len(combos)):
-        y_sum, y_parts = combos[c]
-        x = (r - y_sum) % q
-        while x <= limit_h:
-            if (h_bits >> x) & 1:
-                t = (x + y_sum - r) // q
-                quot = s - t
-                if 0 <= quot < d_cap:
-                    from_b = backtrack_witness(result.b_layers, result.comp_b, h_a, x)
-                    from_d = _digit_terms(quot, p, a - k, p ** (h_a + k))
-                    addends = tuple(sorted(from_b + y_parts + from_d))
-                    if sum(addends) != z or len(addends) != h:
-                        raise AssertionError("decomposition arithmetic failed")
-                    return DecompositionWitness(z=z, addends=addends, from_a=(),
-                                                from_b=from_b, from_c=tuple(sorted(y_parts)),
-                                                from_d=from_d)
-            x += q
-    raise DecompositionError(
-        f"no decomposition within headroom for z={z} (s={s}, r={r})")
+    c = result.y_first[r]
+    if c == len(result.y_combos):
+        raise DecompositionError(f"no family combo lifts r={r} into H, so z={z} (s={s}) fails")
+    y_sum, y_parts = result.y_combos[c]
+    h_bits = result.b_layers[h_a]
+    x = (r - y_sum) % q
+    while not (h_bits >> x) & 1:
+        x += q
+    from_b = backtrack_witness(result.b_layers, result.comp_b, h_a, x)
+    from_d = _digit_terms(s - (x + y_sum - r) // q, p, a - k, p ** (h_a + k))
+    addends = tuple(sorted(from_b + y_parts + from_d))
+    if sum(addends) != z or len(addends) != h:
+        raise AssertionError("decomposition arithmetic failed")
+    return DecompositionWitness(z=z, addends=addends, from_a=(),
+                                from_b=from_b, from_c=tuple(sorted(y_parts)),
+                                from_d=from_d)

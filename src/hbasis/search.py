@@ -41,7 +41,10 @@ class BudgetExhausted(RuntimeError):
 def _optimistic_reach(h: int, n0: int, remaining: int, cap: int) -> int:
     """Admissible bound: every element obeys e <= reach+1, so one more
     element lifts the reach to at most h*(reach+1); cap is Rohrbach's
-    C(k+h, h)."""
+    C(k+h, h).  At h = 1 each step adds one, so the bound is closed-form;
+    at h >= 2 the loop meets cap within log_h(cap) steps."""
+    if h == 1:
+        return min(n0 + remaining, cap)
     b = n0
     for _ in range(remaining):
         b = h * (b + 1)

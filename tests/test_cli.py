@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -94,6 +95,10 @@ class TestConstruct:
     def test_infeasible_exit_2(self):
         code, _ = run_cli(["construct", "--n", "100", "--h", "2"])
         assert code == 2
+
+    def test_override_without_headroom_exit_2(self):
+        code, out = run_cli(["construct", "--n", "2000", "--h", "6", "--k", "1", "--a", "3"])
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("n", [10 ** 12, 10 ** 400])
     def test_oversized_n_exit_3(self, n):
@@ -290,6 +295,15 @@ class TestSearchAndTable:
         doc = parse_document(out)
         assert doc["value"] == "999"
         assert doc["optimal"] == "true"
+
+    def test_search_h1_budget_runs_out_at_once(self):
+        # at h = 1 the reach bound is closed-form; a loop of up to k steps per
+        # node kept this running for minutes
+        start = time.perf_counter()
+        code, out = run_cli(["search", "--h", "1", "--k", "1000000000", "--budget", "1000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert parse_document(out)["optimal"] == "false"
 
     def test_search_oracle(self):
         code, out = run_cli(["search", "--h", "2", "--k", "3", "--oracle"])

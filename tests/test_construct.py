@@ -1,5 +1,6 @@
 """Construction pipeline: tau, planning, digit bases, assembly, decompose."""
 
+import functools
 import hashlib
 import math
 import random
@@ -53,6 +54,12 @@ class TestPlanParams:
         with pytest.raises(InfeasibleParameters):
             plan_params(1000, 4, 2, 4)
 
+    def test_override_without_headroom_refused(self):
+        # q = 4**4 = 256 and p' = 11, so max(B) <= 11**3 - 2 and the overshoot
+        # bound (3 * 1329 + 255) // 256 = 16 passes h = 6; built, it failed on 37 z
+        with pytest.raises(InfeasibleParameters, match="headroom"):
+            plan_params(2000, 6, 1, 3)
+
     def test_h_too_small(self):
         with pytest.raises(InfeasibleParameters):
             plan_params(1000, 2)
@@ -88,9 +95,11 @@ class TestPlanBudget:
         assert (plan.k, plan.a, plan.q, plan.feasibility) == (2, 4, 234_256, "grid-fallback")
 
     def test_formula_plans_fit(self):
-        # the paper's own (k, a) at h = 9..16: 22 plans, all within the budget
+        # the paper's own (k, a) at h = 9..16: 22 pairs fit 1 <= k <= a < h and
+        # the budget; (h, n) = (14, 1e4), (15, 1e4), (15, 1e6), (16, 1e6) and
+        # (16, 1e8) leave decompose no headroom and plan on the grid instead
         plans = [plan_params(n, h) for h in range(9, 17) for n in (10 ** 4, 10 ** 6, 10 ** 8)]
-        assert sum(p.feasibility == "formula-derived" for p in plans) == 22
+        assert sum(p.feasibility == "formula-derived" for p in plans) == 17
 
     @pytest.mark.parametrize("n,h,feasibility", [(10 ** 8, 6, "grid-fallback"),
                                                  (10 ** 8, 12, "formula-derived")])
@@ -113,11 +122,12 @@ class TestPinnedPlans:
     # SHA-256 over repr(plan_params(n, h, k, a)), or the exception's type and
     # message, for 836 inputs: 16 values of n at h = 1..30, every override
     # pair at h = 3..8 and n = 1e4..1e7, and the default plans at h = 9..16,
-    # n in {1e4, 1e6, 1e8}.  Recorded before the grid ranked pairs from
-    # integers taken once (p per call, p' per a).
+    # n in {1e4, 1e6, 1e8}.  Re-pinned when p became the least integer with
+    # p^h > n and one headroom rule came to cover formula pairs (grid
+    # fallback) and overrides (refused); each plan is also checked for both.
     NS = (2, 3, 10, 100, 1000, 10 ** 4, 10 ** 5, 2 * 10 ** 5, 10 ** 6, 10 ** 7,
           22 ** 6 - 1, 10 ** 8, 10 ** 9, 2 ** 31, 3 * 10 ** 9, 2 ** 32 - 1)
-    DIGEST = "33e9426133d268c2b475e23009282c49066f4d74ed850dbed32998a91fa5334f"
+    DIGEST = "e513d9290528a3b2296331519e7afd7b65423d4c4621ed2b4eec8c92248ae812"
 
     def inputs(self):
         yield from ((n, h, None, None) for n in self.NS for h in range(1, 31))
@@ -131,9 +141,15 @@ class TestPinnedPlans:
         count = 0
         for n, h, k, a in self.inputs():
             try:
-                line = repr(plan_params(n, h, k, a))
+                plan = plan_params(n, h, k, a)
             except (ValueError, GuardError) as exc:
                 line = f"{type(exc).__name__}: {exc}"
+            else:
+                line = repr(plan)
+                h_a, q = h - plan.a, plan.q
+                max_b = plan.p_prime - 1 if h_a == 1 else plan.p_prime ** h_a - 2
+                assert plan.p ** h > n >= (plan.p - 1) ** h, line
+                assert h * q > n or (h_a * max_b + plan.k * (q - 1)) // q < h, line
             digest.update((line + "\n").encode())
             count += 1
         assert (count, digest.hexdigest()) == (836, self.DIGEST)
@@ -211,8 +227,8 @@ class TestBuildTheorem1:
         assert all(name not in text for name in ("b_layers", "y_combos", "y_first"))
         assert build_theorem1(plan) == res
 
-    # (n, h, k, a): multi-lift (max H >= q), a perfect power with its z = n
-    # failure, two small overrides and a default plan
+    # (n, h, k, a): multi-lift (max H >= q), a perfect power that failed at
+    # z = n while p^h = n, two small overrides and a default plan
     START_PLANS = ((10 ** 5, 7, None, None), (10 ** 5, 5, 2, 4), (10 ** 4, 4, 1, 3),
                    (10 ** 4, 3, 1, 2), (10 ** 5, 4, None, None))
 
@@ -280,13 +296,51 @@ class TestDecompose:
             decompose(result.plan.n + 1, result)
 
 
+def _decompose_every_z(res):
+    basis, h = set(res.basis.elements), res.plan.h
+    assert res.verified
+    for z in range(res.plan.n + 1):
+        w = decompose(z, res)
+        assert sum(w.addends) == z and len(w.addends) == h and basis.issuperset(w.addends)
+
+
+class TestEveryZDecomposes:
+    def test_default_and_every_override(self, monkeypatch):
+        # h = 3..6 on the perfect powers 1000 = 10**3, 4096 = 4**6 = 8**4 =
+        # 16**3 and 10**4, where p^h = n used to fail at z = n; B's set is
+        # cached because (4096, 6, 1, 1) and (1e4, 6, 1, 1) share p' = 17
+        monkeypatch.setattr(construct, "bose_chowla", functools.lru_cache(None)(bose_chowla))
+        refused = []
+        for n in (1000, 4096, 10 ** 4):
+            for h in range(3, 7):
+                pairs = [(None, None)] + [(k, a) for a in range(1, h) for k in range(1, a + 1)]
+                for k, a in pairs:
+                    try:
+                        plan = plan_params(n, h, k, a)
+                    except InfeasibleParameters:
+                        refused.append((n, h, k, a))
+                        continue
+                    _decompose_every_z(build_theorem1(plan))
+        assert refused == [(4096, 6, 1, 3), (10 ** 4, 6, 1, 3)]
+
+    @pytest.mark.parametrize("n,h,feasibility", [(10 ** 4, 9, "formula-derived"),
+                                                 (10 ** 4, 14, "grid-fallback")])
+    def test_formula_regime(self, n, h, feasibility):
+        # at (1e4, 14) the formula pair (3, 9) has no headroom; built, it
+        # failed on 5,142 of the 10,001 z, and the grid pair (1, 12) fails none
+        plan = plan_params(n, h)
+        assert plan.feasibility == feasibility
+        _decompose_every_z(build_theorem1(plan))
+
+
 class TestPinnedWitnesses:
     # SHA-256 over the witness (or "err") of every z <= n on three plans,
     # recorded before the head-interval path moved from layer backtracking
-    # to the base-b digit expansion.  The (1e4, 4, 1, 3) plan keeps its
-    # known DecompositionError at z = n.
+    # to the base-b digit expansion.  Re-pinned when plans took p^h > n: the
+    # perfect power (1e4, 4, 1, 3) moved from p = 10 (one "err", at z = n)
+    # to p = 11; the other two plans are unchanged.
     PLANS = ((10 ** 4, 3, 1, 2), (10 ** 5, 4, None, None), (10 ** 4, 4, 1, 3))
-    DIGEST = "b9404e4d0cde526fcd956d976206e612e2795b6c665e69beef8882ee18b05d75"
+    DIGEST = "fa132375eddb9fbd178e0c8daf8f1f69754171650b9671ca23634405f9a1a8a9"
 
     def test_every_witness(self):
         digest = hashlib.sha256()
