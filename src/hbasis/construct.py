@@ -135,13 +135,8 @@ def _b_field(p: int, h_a: int) -> tuple[int, int]:
 
 
 def _headroom(n: int, h: int, h_a: int, k: int, q: int, max_b: int) -> bool:
-    """Whether decompose's first pick fits D's digits under the pair with these q, max(B).
-
-    Either h*q > n, so every z <= n takes A's digit path, or a lift
-    x <= (h-a) max(B) plus a combo y <= k(q-1) stays below h*q, so their
-    overshoot floor((x + y - r)/q) is at most h - 1, below every quotient
-    s >= h of the path.
-    """
+    """h*q > n (every z <= n takes A's digit path), or a lift x <= (h-a) max(B)
+    plus a combo y <= k(q-1) stays below h*q, so their overshoot is at most h - 1."""
     return h * q > n or h_a * max_b + k * (q - 1) < h * q
 
 
@@ -149,7 +144,8 @@ def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
     """(k, a, p') in 1 <= k <= a <= h-2 of least |G| ledger, ties to the least k, then a.
 
     The ledger adds |A| (digit basis of [0, hq]), p', complement_size_bound and |D|.
-    Only pairs with `_headroom` are ranked; q and max(B) step per k and a.
+    Only pairs with `_headroom` are ranked (q and max(B) step per k and a), so with
+    p^h > n decompose's first pick is final: t <= h-1 < s and s - t <= n // q < p^{a-k}.
     """
     best = None
     for a in range(1, h - 1):
