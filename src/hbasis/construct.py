@@ -14,6 +14,9 @@ The basis G for [0, n] is the union of four components:
 
 Every built result is checked end-to-end by an exhaustive sumset
 computation over [0, n]; nothing is reported as a basis on faith.
+`verified` also requires the k-complement's own exhaustive completeness
+check, the certificate decompose's residue path rests on, so a G that
+covers [0, n] while a residue has no family combo is not verified.
 The result also keeps, outside its repr and equality, what decompose
 reads and nothing already held elsewhere: B's layer stack, the family
 combos and a per-residue index into them.  A's digit base b follows
@@ -148,6 +151,8 @@ def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
     p^h > n decompose's first pick is final: t <= h-1 < s and s - t <= n // q < p^{a-k}.
     """
     best = None
+    # A's digit base b (b^h > h q) per exponent e of q = p^e, e = h - a + k in 3..h
+    digit_base = {e: iroot_ceil(h * p ** e + 1, h) for e in range(3, h + 1)}
     for a in range(1, h - 1):
         h_a = h - a
         p_prime, max_b = _b_field(p, h_a)
@@ -156,7 +161,7 @@ def _grid_pair(n: int, h: int, p: int) -> tuple[int, int, int]:
             q *= p
             if not _headroom(n, h, h_a, k, q, max_b):
                 continue
-            size = (1 + (iroot_ceil(h * q + 1, h) - 1) * h + p_prime
+            size = (1 + (digit_base[h_a + k] - 1) * h + p_prime
                     + complement_size_bound(q, alpha, k) + 1 + (p - 1) * (a - k))
             best = min(best, (size, k, a, p_prime)) if best else (size, k, a, p_prime)
     if best is None:
@@ -230,7 +235,10 @@ def digit_basis(b: int, h: int) -> BasisSet:
 
 
 def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
-    """Assemble A, B, C, D per the plan and verify the result exhaustively."""
+    """Assemble A, B, C, D per the plan and verify the result exhaustively.
+
+    verified holds iff G covers [0, n] and the complement family is complete.
+    """
     n, h, p, k, a, q = plan.n, plan.h, plan.p, plan.k, plan.a, plan.q
     h_a = h - a
 
@@ -273,7 +281,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               comp_a=a_set.elements, comp_b=b_elems,
                               comp_c=c_elems, comp_d=d_elems,
                               complement=complement,
-                              verified=cert.ok, first_gap=cert.first_gap,
+                              verified=cert.ok and complement.complete,
+                              first_gap=cert.first_gap,
                               b_layers=tuple(b_layers),
                               y_combos=tuple(combos), y_first=y_first)
 

@@ -9,16 +9,18 @@ mass and therefore meets the per-round bound |B \\ (A + X_j)| <=
 
 Sets stay bitmasks (ResidueSet) throughout: a pick clears the rotated base
 from the uncovered mask, and popcounts give the trace.  numpy only feeds
-the FFTs, all through `_correlate`.  Each round seeds the gains of all q
-shifts with one circular cross-correlation of the unpacked base and
-uncovered masks.  When the base A lies in a window [0, L) short against q,
-the round then keeps that array current locally: picking x newly covers
-R = U & (A + x), and only the shifts x + d with |d| < L can lose gain, each
-by |(A + x + d) & R|, a linear correlation of A's window with R - x that one
-power-of-two FFT of length n >= 2L computes.  The window is taken whenever
-n < q, which also keeps the 2L - 1 shifts of the drop distinct mod q; a base
-whose window FFT would be q or longer recomputes the full correlation
-before every pick instead.
+the FFTs, all through `_correlate`, which works in buffers its caller
+allocates once per round.  Each round seeds the gains of all q shifts with
+one circular cross-correlation of the unpacked base and uncovered masks.
+When the base A lies in a window [0, L) short against q, the round then
+keeps that array current locally: picking x newly covers R = U & (A + x),
+and only the shifts x + d with |d| < L can lose gain, each by
+|(A + x + d) & R|, a linear correlation of A's window with R - x.  One FFT
+pair computes it at the least even 5-smooth length n >= 2L - 1, which
+keeps every lag apart.  The window is taken whenever the power of two
+>= 2L is shorter than q, which also keeps the 2L - 1 shifts of the drop
+distinct mod q; a base whose power of two would be q or longer
+recomputes the full q-point correlation before every pick instead.
 Counts are whole numbers up to q <= 2**26 (the memory budget), exact in
 float64 (below 2**53) once rounded, so both paths hold exact gains and the
 smallest-shift tie-break is an argmax over exact values.
@@ -79,47 +81,82 @@ class ComplementFamily:
         return len(self.union)
 
 
-def _correlate(mask: int, length: int, conj: np.ndarray, n: int) -> np.ndarray:
-    """out[d] = |(S + d) & M| over Z_n, rounded, in float64: M is bits 0..length-1
-    of mask, zero-padded to n, and conj is the conjugated length-n rfft of S."""
-    return np.rint(np.fft.irfft(np.fft.rfft(to_bools(mask, length), n) * conj, n))
+def _correlate(mask: int, length: int, conj: np.ndarray, buf: np.ndarray,
+               spec: np.ndarray) -> np.ndarray:
+    """buf[d] = |(S + d) & M| over Z_n, n = buf.size, rounded, in place; returns buf.
+
+    M is bits 0..length-1 of mask, zero-padded to n, and conj is the
+    conjugated length-n rfft of S.  buf (float64, n) and spec (complex,
+    conj's shape) are the caller's, so a round reuses them pick after pick.
+    """
+    buf[:length] = to_bools(mask, length)
+    buf[length:] = 0
+    np.fft.rfft(buf, out=spec)
+    spec *= conj
+    np.fft.irfft(spec, buf.size, out=buf)
+    return np.rint(buf, out=buf)
 
 
 def gains_bytes(q: int) -> int:
-    """Peak bytes of a gains pass over Z_q: measured 25.0-25.7 per residue at q = 2**20
-    and 3 * 2**18, and 32.8 with a window FFT of q - 1 points (about 8q + 24n per pick)."""
+    """Peak bytes of a gains pass over Z_q: the seed holds A's spectrum, the gains and
+    a spectrum buffer, about 24q; measured 25.1-25.9 per residue at q = 2**20 and
+    3 * 2**18, and 33.7 with a window FFT of q - 1 points (about 8q + 24n per pick)."""
     return 34 * q
+
+
+def _fast_len(m: int) -> int:
+    """Least even 2**a * 3**b * 5**c >= m: an FFT length pocketfft splits into radix 2-5."""
+    best = 1 << max(m - 1, 1).bit_length()  # the least even power of two >= m
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            n = 2 * odd
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            odd *= 3
+        p5 *= 5
+    return best
 
 
 def _window_len(base_len: int, q: int) -> int:
     """FFT length of the windowed drop for a base inside [0, base_len), or 0.
 
-    The power of two n >= 2 * base_len keeps every difference in
-    (-base_len, base_len) apart.  The window is taken whenever n < q: then
-    2 * base_len - 1 < q, so the drop's shifts x + d never meet mod q.  0
-    selects the full recompute.  A shorter FFT is not always a cheaper pick:
-    on the smooth q = 270,000 with base_len = 131,000 (n = 2**18), 25 picks
-    measured 0.17 s in full and 0.18-0.21 s windowed, and at q = 625 with
-    n = 512 the window's fixed per-pick work outweighs its FFT saving.
+    The window is taken iff the power of two >= 2 * base_len is shorter
+    than q: then 2 * base_len - 1 < q, so the drop's shifts x + d never meet
+    mod q.  0 selects the full recompute.  The length returned is
+    _fast_len(2 * base_len - 1), the least even 5-smooth n >= 2L - 1, never
+    longer than that power of two: 259,200 against 2**18 in round 2 of
+    (5, 1e7).  n >= 2L - 1 keeps every lag of the drop's linear correlation
+    unwrapped, and evenness gives its spectrum n/2 + 1 bins.  The rule stays
+    on the power of two, so each base keeps its path and its memory peak: a
+    rule on n itself would window k_complement's short base at q = 2**20 in
+    its second round, at n = 983,040 and a 32.7q peak.  A shorter FFT is not
+    always a cheaper pick: on the smooth q = 270,000 with base_len = 131,000
+    (n = 2**18 then), 25 picks measured 0.17 s in full and 0.18-0.21 s
+    windowed, and at q = 625 with n = 512 the window's fixed per-pick work
+    outweighs its FFT saving.
     """
-    n = 1 << (2 * base_len - 1).bit_length()
-    return n if n < q else 0
+    if 1 << (2 * base_len - 1).bit_length() >= q:
+        return 0
+    return _fast_len(2 * base_len - 1)
 
 
-def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, base_len: int,
-                   covered: int, x: int) -> None:
+def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, buf: np.ndarray,
+                   spec: np.ndarray, base_len: int, covered: int, x: int) -> None:
     """gains[x + d] -= |(A + x + d) & R| in place, for every d in (-L, L).
 
     R is what picking x newly covered, and no shift outside x + (-L, L)
     loses gain.  covered = R - x is a subset of A, so it lies in A's window
     [0, L), L = base_len.  window_conj is the conjugated rfft of that window
-    at the even _window_len length n = 2 * (bins - 1).
+    at the _window_len length n = buf.size, and buf and spec are the
+    round's buffers of n and n/2 + 1 points.
     """
-    n = 2 * (window_conj.size - 1)
     span = 2 * base_len - 1
     # covered moved up to [L - 1, 2L - 1): drop[i] = |(A + i - (L - 1)) & covered|,
-    # unwrapped for i < span since n >= 2L
-    drop = _correlate(covered << (base_len - 1), span, window_conj, n)[:span]
+    # unwrapped for i < span since n >= 2L - 1
+    drop = _correlate(covered << (base_len - 1), span, window_conj, buf, spec)[:span]
     # gains[lo:lo + span] mod q, as at most two slices (span < q)
     lo = (x - base_len + 1) % gains.size
     head = min(span, gains.size - lo)
@@ -135,7 +172,8 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     against q (_window_len), each pick then subtracts its windowed drop;
     otherwise the gains are recomputed in full before each pick.  Both keep
     exact gains (whole float64 counts up to q <= 2**26), so the picks
-    (argmax, smallest shift on ties) do not depend on the path.
+    (argmax, smallest shift on ties) do not depend on the path.  Each path
+    allocates its FFT buffers once per round, not per pick.
     Over-budget gains_bytes(q) raise GuardError before any array is allocated.
     """
     if len(A) == 0:
@@ -149,27 +187,28 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     base_len = A.bits.bit_length()
     n = _window_len(base_len, q)
     fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q)))
+    gains, spec = np.empty(q), np.empty(q // 2 + 1, complex)
     uncovered = B.bits
-    gains = _correlate(uncovered, q, fa_conj, q) if uncovered and t else None
     if n:
-        # only the seed reads A's q-point spectrum here: free it before the
-        # window's, so a pick's FFTs of length n < q peak near 8q + 24n bytes
-        fa_conj = None
+        if uncovered and t:
+            _correlate(uncovered, q, fa_conj, gains, spec)
+        # only the seed reads A's q-point spectrum and its scratch: free them
+        # before the window's, so a pick's FFTs of length n < q peak near 8q + 24n bytes
+        fa_conj = spec = None
         window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n))
+        buf, spec = np.empty(n), np.empty(n // 2 + 1, complex)
     picks: list[int] = []
     trace: list[int] = []
     while uncovered and len(picks) < t:
-        if gains is None:
-            gains = _correlate(uncovered, q, fa_conj, q)
+        if not n:
+            _correlate(uncovered, q, fa_conj, gains, spec)
         x = int(np.argmax(gains))
         covered = uncovered & rotate(A.bits, x, q)
         uncovered ^= covered
         picks.append(x)
         trace.append(uncovered.bit_count())
-        if not n:
-            gains = None  # freed before the next full recompute
-        elif uncovered and len(picks) < t:  # the last pick's drop would go unread
-            _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
+        if n and uncovered and len(picks) < t:  # the last pick's drop would go unread
+            _subtract_drop(gains, window_conj, buf, spec, base_len, rotate(covered, -x, q), x)
     return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=ResidueSet(q, uncovered),
                       picks=tuple(picks), uncovered_trace=tuple(trace))
 

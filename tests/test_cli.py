@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file formats, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hbasis import arith, sidon
+from hbasis import arith, construct, sidon
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
@@ -99,6 +100,14 @@ class TestConstruct:
     def test_override_without_headroom_exit_2(self):
         code, out = run_cli(["construct", "--n", "2000", "--h", "6", "--k", "1", "--a", "3"])
         assert (code, out) == (2, "")
+
+    def test_incomplete_complement_exit_1(self, monkeypatch):
+        real = construct.k_complement
+        monkeypatch.setattr(construct, "k_complement",
+                            lambda A, k: dataclasses.replace(real(A, k), complete=False))
+        code, out = run_cli(["construct", "--n", "5000", "--h", "3", "--k", "1", "--a", "2"])
+        doc = parse_document(out)
+        assert code == 1 and doc["verified"] == "false" and "first_gap" not in doc
 
     @pytest.mark.parametrize("n", [10 ** 12, 10 ** 400])
     def test_oversized_n_exit_3(self, n):

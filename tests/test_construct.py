@@ -1,5 +1,6 @@
 """Construction pipeline: tau, planning, digit bases, assembly, decompose."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -250,6 +251,18 @@ class TestBuildTheorem1:
         plan = plan_params(2000, 3, 1, 2)
         res = build_theorem1(plan)
         assert res.verified == verify_basis(res.basis, 3, 2000).ok
+
+    def test_incomplete_complement_is_not_verified(self, monkeypatch):
+        # G still covers [0, n], but residues no combo lifts would make
+        # decompose fail: the result is not verified, so decompose refuses it
+        real = construct.k_complement
+        monkeypatch.setattr(construct, "k_complement",
+                            lambda A, k: dataclasses.replace(real(A, k), complete=False))
+        res = build_theorem1(plan_params(10 ** 4, 3, 1, 2))
+        assert verify_basis(res.basis, 3, 10 ** 4).ok and res.first_gap is None
+        assert not res.verified
+        with pytest.raises(ValueError, match="verified"):
+            decompose(10 ** 4, res)
 
 
 @pytest.fixture(scope="module")

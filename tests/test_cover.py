@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hbasis import cover
 from hbasis.arith import bits_to_sorted, rotate, to_bools
 from hbasis.construct import build_theorem1, plan_params
-from hbasis.cover import (_correlate, _subtract_drop, _window_len,
+from hbasis.cover import (_correlate, _fast_len, _subtract_drop, _window_len,
                           complement_size_bound, gains_bytes,
                           greedy_shift_cover, k_complement)
 from hbasis.sumset import ResidueSet, residue_sumset
@@ -95,23 +95,30 @@ def naive_greedy(A, B, t):
 
 
 def windowed_gains_oracle(A, B, t):
-    """Drive _subtract_drop pick by pick as the window path does, checking
-    the maintained gains against a full _correlate (and gains_naive at
-    q <= 64) after every pick; returns the picks."""
+    """Drive _subtract_drop pick by pick as the window path does, in one pair of
+    buffers for the round (the float one starts as garbage, so a drop that
+    left its tail unzeroed would show), checking the maintained gains against
+    a full _correlate (and gains_naive at q <= 64) after every pick; returns
+    the picks."""
     q, base_len = A.q, A.bits.bit_length()
     n = _window_len(base_len, q)
     fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q).astype(np.float64)))
     window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len).astype(np.float64), n))
+    buf, spec = np.full(n, 7.0), np.empty(n // 2 + 1, complex)
+
+    def full_gains(mask):
+        return _correlate(mask, q, fa_conj, np.empty(q), np.empty(q // 2 + 1, complex))
+
     uncovered = B.bits
-    gains = _correlate(uncovered, q, fa_conj, q)
+    gains = full_gains(uncovered)
     picks = []
     while uncovered and len(picks) < t:
         x = int(np.argmax(gains))
         picks.append(x)
         covered = uncovered & rotate(A.bits, x, q)
         uncovered ^= covered
-        _subtract_drop(gains, window_conj, base_len, rotate(covered, -x, q), x)
-        assert gains.tolist() == _correlate(uncovered, q, fa_conj, q).tolist()
+        _subtract_drop(gains, window_conj, buf, spec, base_len, rotate(covered, -x, q), x)
+        assert gains.tolist() == full_gains(uncovered).tolist()
         if q <= 64:
             assert gains.tolist() == gains_naive(A, bits_to_sorted(uncovered))
     return tuple(picks)
@@ -139,16 +146,43 @@ def random_instances(count, seed):
 
 class TestIncrementalGains:
     def test_path_rule(self):
-        # window whenever its power-of-two FFT (>= 2L) is shorter than q
+        # window whenever the power of two >= 2L is shorter than q; its
+        # transforms then run at the least even 5-smooth length >= 2L - 1
         assert _window_len(8, 32) == 16 and _window_len(8, 31) == 16
         assert _window_len(8, 17) == 16 and _window_len(8, 16) == 0
-        assert _window_len(9, 33) == 32 and _window_len(9, 32) == 0
+        assert _window_len(9, 33) == 18 and _window_len(9, 32) == 0
         assert _window_len(1, 4) == 2 and _window_len(1, 3) == 2 and _window_len(1, 2) == 0
         # both rounds of (5, 1e7), the construct workload, take the window
-        assert _window_len(2733, 456_976) == 8192
-        assert _window_len(128_589, 456_976) == 1 << 18
-        # (4, 1e6) round 2, half the length of q
-        assert _window_len(253_741, 1 << 20) == 1 << 19
+        assert _window_len(2733, 456_976) == 5760
+        assert _window_len(128_589, 456_976) == 259_200
+        # (4, 1e6) round 2, below half the length of q
+        assert _window_len(253_741, 1 << 20) == 512_000
+
+    def test_fast_len_brute_force(self):
+        def smooth(v):
+            for f in (2, 3, 5):
+                while v % f == 0:
+                    v //= f
+            return v == 1
+
+        expected, n = [], 2
+        for m in range(1, 20_001):
+            while n < m or not smooth(n):
+                n += 2
+            expected.append(n)
+        assert [_fast_len(m) for m in range(1, 20_001)] == expected
+
+    def test_window_rule_sweep(self):
+        # the smooth length never moves a base between the paths: the rule
+        # reads the power of two, and the length is exact (n >= 2L - 1) and even
+        for base_len in range(1, 300):
+            pow2 = 1 << (2 * base_len - 1).bit_length()
+            for q in range(base_len, 700):
+                n = _window_len(base_len, q)
+                assert (n != 0) == (pow2 < q), (base_len, q)
+                if n:
+                    assert n == _fast_len(2 * base_len - 1) and n % 2 == 0
+                    assert 2 * base_len - 1 <= n <= pow2
 
     def test_random_instances_against_oracles(self):
         paths = {"window": 0, "full": 0}
@@ -178,6 +212,9 @@ class TestIncrementalGains:
         (64, [0, 3, 5], [], 5),                  # empty B
         (17, [0, 7], range(17), 17),             # N = q - 1: window path at its limit
         (16, [0, 7], range(16), 16),             # N = q: full path
+        (300, [0, 3, 50, 119], range(300), 40),  # n = 2L = 240, not a power of two
+        (257, range(0, 120, 7), range(257), 30),  # pow2 256 = q - 1: n = 240, windowed
+        (250, [0, 3, 50, 119], range(250), 40),  # n = 240 < q < 256: full path
     ])
     def test_edge_cases(self, q, members, b_members, t):
         A = ResidueSet.from_iterable(q, members)
@@ -288,7 +325,8 @@ class TestKComplement:
 class TestGainsModel:
     def test_bounds_measured_peak(self):
         # the windowed and the full-recompute greedy path, and both rounds of k = 2;
-        # 25.3-25.7 bytes per residue measured, 33.3-33.7 while the FFTs read
+        # 25.3, 25.4 and 25.9 bytes per residue measured with the round's buffers
+        # (25.1-25.7 with fresh arrays per pick), 33.3-33.7 while the FFTs read
         # float64 copies of the masks and the gains were cast to int64
         q = 1 << 20
         full = ResidueSet.full(q)
@@ -308,8 +346,8 @@ class TestGainsModel:
             assert peak <= 28 * q, fn.__name__
 
     @pytest.mark.parametrize("q, base_len, per_residue", [
-        (3 << 18, 200_000, 28),       # window FFT 2**19 in (q/2, q): 25.0 measured
-        ((1 << 19) + 1, 1 << 18, 34),  # window FFT q - 1: 32.8 measured
+        (3 << 18, 200_000, 28),       # window FFT 400,000 in (q/2, q): 25.1 measured
+        ((1 << 19) + 1, 1 << 18, 34),  # window FFT 2**19 = q - 1: 33.7 measured
     ])
     def test_window_past_half_q(self, q, base_len, per_residue):
         # a window FFT of n < q points costs about 8q + 24n bytes per pick
@@ -342,9 +380,10 @@ class TestPinnedPicks:
     # build_theorem1 builds C on four default plans, recorded while every
     # pick still came from its own full-length FFT.  Round 1 of each plan,
     # the only round of (3, 2e5) (231 picks) included, runs on the windowed
-    # drop, and so does round 2 of (5, 1e7) (32 picks, window FFT 2**18 <
-    # q = 456,976); round 2 of (5, 1e6) and (6, 1e7), whose window FFT
-    # would not be shorter than q, recomputes in full.
+    # drop, and so does round 2 of (5, 1e7) (32 picks, power of two 2**18 <
+    # q = 456,976, transforms of 259,200 points); round 2 of (5, 1e6) and
+    # (6, 1e7), whose power of two would not be shorter than q, recomputes
+    # in full.
     PLANS = ((10 ** 6, 5), (10 ** 7, 6), (2 * 10 ** 5, 3), (10 ** 7, 5))
     DIGEST = "e1488d507e198a21fbfda4865f1b91207f4af3efd78402ba98fc190e835b8cc7"
 
