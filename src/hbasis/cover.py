@@ -192,7 +192,7 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     if n:
         if uncovered and t:
             _correlate(uncovered, q, fa_conj, gains, spec)
-        # only the seed reads A's q-point spectrum and its scratch: free them
+        # only the seed reads A's q-point spectrum and its buffer: free them
         # before the window's, so a pick's FFTs of length n < q peak near 8q + 24n bytes
         fa_conj = spec = None
         window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n))
