@@ -13,6 +13,8 @@ exhaustive routine: each compares its peak model (`sumset.layers_bytes`,
 
 from __future__ import annotations
 
+from math import ceil, floor, log2
+
 import numpy as np
 
 # 2 GiB: above every benchmarked and pinned instance (verify at h = 6,
@@ -26,12 +28,24 @@ class GuardError(RuntimeError):
 
 
 def iroot_ceil(n: int, k: int) -> int:
-    """Smallest r with r**k >= n: exact integer Newton down from 1 << ceil(bits/k)."""
+    """Smallest r with r**k >= n: exact integer Newton down from just above the root.
+
+    Newton is exact from any start at or above the floor root, but above it
+    each step shrinks r only by about a factor 1 - 1/k, so the start is
+    2**y rounded up, y = log2(n)/k plus a slack of 2**-40 (1 + y).  log2 of
+    an int reads its leading bits and bit length, within 2**-50 (1 + log2 n);
+    the slack covers that, the division and 2.0**f, so the start lies
+    provably above n**(1/k) and within a relative 2**-39 (1 + y) of it.
+    """
     if n <= 0:
         return 0
     if k == 1:
         return n
-    r = 1 << -(-n.bit_length() // k)
+    y = log2(n) / k
+    y += (1 + y) * 2.0 ** -40
+    i = floor(y)
+    m = ceil(2.0 ** (y - i) * 2.0 ** 52) + 1  # above 2**(y - i + 52)
+    r = m << (i - 52) if i >= 52 else -(-m >> (52 - i))  # ceil(m / 2**(52 - i))
     while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = s
     return r if r ** k == n else r + 1

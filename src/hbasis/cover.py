@@ -7,23 +7,28 @@ which by averaging removes at least an |A|/q fraction of the uncovered
 mass and therefore meets the per-round bound |B \\ (A + X_j)| <=
 (1 - |A|/q)^j |B|.
 
-Sets stay bitmasks (ResidueSet) throughout: a pick clears the rotated base
-from the uncovered mask, and popcounts give the trace.  numpy only feeds
-the FFTs, all through `_correlate`, which works in buffers its caller
-allocates once per round.  Each round seeds the gains of all q shifts with
-one circular cross-correlation of the unpacked base and uncovered masks.
-When the base A lies in a window [0, L) short against q, the round then
-keeps that array current locally: picking x newly covers R = U & (A + x),
-and only the shifts x + d with |d| < L can lose gain, each by
-|(A + x + d) & R|, a linear correlation of A's window with R - x.  One FFT
-pair computes it at the least even 5-smooth length n >= 2L - 1, which
-keeps every lag apart.  The window is taken whenever the power of two
->= 2L is shorter than q, which also keeps the 2L - 1 shifts of the drop
-distinct mod q; a base whose power of two would be q or longer
-recomputes the full q-point correlation before every pick instead.
-Counts are whole numbers up to q <= 2**26 (the memory budget), exact in
-float64 (below 2**53) once rounded, so both paths hold exact gains and the
-smallest-shift tie-break is an argmax over exact values.
+Sets enter and leave as bitmasks (ResidueSet).  Inside a round, B's
+uncovered part U is a packed bit array: picking x reads and clears only
+its bytes over [x, x + L) mod q, for a base A inside the window [0, L), and
+that yields R - x, R = U & (A + x) what the pick newly covers.  The
+remainder is packed back into a mask once, at the end of the round.  The
+FFTs all run through `_correlate`, which works in buffers its caller
+allocates once per round.  The gains of all q shifts start at |A|
+when B is all of Z_q, as in every round k_complement runs; a partial B
+seeds them with one circular cross-correlation of A and B.  When A's window
+is short against q, the round then keeps the gains current locally: only
+the shifts x + d with |d| < L can lose gain, each by |(A + x + d) & R|, a
+linear correlation of A's window with R - x.  One FFT pair computes it at
+the least even 5-smooth length n >= 2L - 1, which keeps every lag apart,
+and the argmax reads maxima of blocks of gains, refreshed only where a
+drop changed them, so such a pick does no q-point work.  The window is
+taken whenever the power of two >= 2L is shorter than q, which also keeps
+the 2L - 1 shifts of the drop distinct mod q; a base whose power of two
+would be q or longer recomputes the full q-point correlation before every
+pick after the first instead.  Counts are whole numbers up to q <= 2**26
+(the memory budget), exact in float64 (below 2**53) once rounded, so both
+paths hold exact gains, the gain of the pick is |R|, and the smallest-shift
+tie-break is an argmax over exact values.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from math import ceil, log
 
 import numpy as np
 
-from .arith import check_bytes, iroot_ceil, rotate, to_bools
+from .arith import check_bytes, iroot_ceil, to_bools
 from .sumset import ResidueSet, residue_sumset
+
+_BLOCK = 4096  # gains per block of the argmax's block maxima
 
 
 @dataclass(frozen=True)
@@ -81,16 +88,13 @@ class ComplementFamily:
         return len(self.union)
 
 
-def _correlate(mask: int, length: int, conj: np.ndarray, buf: np.ndarray,
-               spec: np.ndarray) -> np.ndarray:
+def _correlate(buf: np.ndarray, conj: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """buf[d] = |(S + d) & M| over Z_n, n = buf.size, rounded, in place; returns buf.
 
-    M is bits 0..length-1 of mask, zero-padded to n, and conj is the
+    On entry buf holds M's indicator, zero-padded to n, and conj is the
     conjugated length-n rfft of S.  buf (float64, n) and spec (complex,
     conj's shape) are the caller's, so a round reuses them pick after pick.
     """
-    buf[:length] = to_bools(mask, length)
-    buf[length:] = 0
     np.fft.rfft(buf, out=spec)
     spec *= conj
     np.fft.irfft(spec, buf.size, out=buf)
@@ -98,9 +102,15 @@ def _correlate(mask: int, length: int, conj: np.ndarray, buf: np.ndarray,
 
 
 def gains_bytes(q: int) -> int:
-    """Peak bytes of a gains pass over Z_q: the seed holds A's spectrum, the gains and
-    a spectrum buffer, about 24q; measured 25.1-25.9 per residue at q = 2**20 and
-    3 * 2**18, and 33.7 with a window FFT of q - 1 points (about 8q + 24n per pick)."""
+    """Peak bytes of a gains pass over Z_q.
+
+    The full path and a partial B's seed hold A's q-point spectrum, the
+    gains and a spectrum buffer, about 24q: 25.7-26.4 per residue measured
+    at q = 2**20.  A windowed round on B = Z_q holds no q-point spectrum,
+    only the gains and the window's FFT buffers, about 8q + 24n for a
+    window FFT of n < q points: 9.3 per residue at q = 2**20 with n = 2**15,
+    and 33.3 at n = q - 1, the case this model is kept for.
+    """
     return 34 * q
 
 
@@ -143,37 +153,90 @@ def _window_len(base_len: int, q: int) -> int:
     return _fast_len(2 * base_len - 1)
 
 
+def _arc(start: int, length: int, q: int):
+    """[start, start + length) mod q, for 0 < length <= q, as at most two slices (lo, hi)."""
+    lo = start % q
+    yield lo, min(lo + length, q)
+    if lo + length > q:
+        yield 0, lo + length - q
+
+
+def _bit_range(packed: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bits lo..hi-1 of a little-endian packed mask: the unpacked bytes that hold
+    them (bools), and the view of those bits inside."""
+    bits = np.unpackbits(packed[lo >> 3:(hi + 7) >> 3], bitorder="little").view(bool)
+    return bits, bits[lo & 7:(lo & 7) + hi - lo]
+
+
+def _take(uncovered: np.ndarray, base: np.ndarray, base_len: int, q: int, x: int,
+          out: np.ndarray | None) -> None:
+    """Cover A + x: clear it from the packed uncovered mask of Z_q.
+
+    A lies in [0, L), L = base_len, packed in base, so only the bytes over
+    [x, x + L) mod q are unpacked, at most two runs.  out, of length L or
+    None, receives R - x's indicator, R what the pick newly covers:
+    out[a] = 1 iff a is in A and x + a was uncovered.
+    """
+    a = 0
+    for lo, hi in _arc(x, base_len, q):
+        bits, unc = _bit_range(uncovered, lo, hi)
+        hit = _bit_range(base, a, a + hi - lo)[1]
+        np.logical_and(unc, hit, out=hit)
+        unc ^= hit
+        # written back before the next run, which shares a byte with this one when L is near q
+        uncovered[lo >> 3:(hi + 7) >> 3] = np.packbits(bits, bitorder="little")
+        if out is not None:
+            out[a:a + hi - lo] = hit
+        a += hi - lo
+
+
 def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, buf: np.ndarray,
-                   spec: np.ndarray, base_len: int, covered: int, x: int) -> None:
-    """gains[x + d] -= |(A + x + d) & R| in place, for every d in (-L, L).
+                   spec: np.ndarray, base_len: int, x: int) -> list[tuple[int, int]]:
+    """gains[x + d] -= |(A + x + d) & R| in place, for every d in (-L, L); returns
+    the slices (lo, hi) of gains it changed.
 
     R is what picking x newly covered, and no shift outside x + (-L, L)
-    loses gain.  covered = R - x is a subset of A, so it lies in A's window
-    [0, L), L = base_len.  window_conj is the conjugated rfft of that window
-    at the _window_len length n = buf.size, and buf and spec are the
-    round's buffers of n and n/2 + 1 points.
+    loses gain.  R - x is a subset of A, so it lies in A's window [0, L),
+    L = base_len; on entry buf[L - 1:2L - 1] holds its indicator.
+    window_conj is the conjugated rfft of that window at the _window_len
+    length n = buf.size, and buf and spec are the round's buffers of n and
+    n/2 + 1 points.
     """
     span = 2 * base_len - 1
-    # covered moved up to [L - 1, 2L - 1): drop[i] = |(A + i - (L - 1)) & covered|,
+    # R - x moved up to [L - 1, 2L - 1): drop[i] = |(A + i - (L - 1)) & (R - x)|,
     # unwrapped for i < span since n >= 2L - 1
-    drop = _correlate(covered << (base_len - 1), span, window_conj, buf, spec)[:span]
-    # gains[lo:lo + span] mod q, as at most two slices (span < q)
-    lo = (x - base_len + 1) % gains.size
-    head = min(span, gains.size - lo)
-    gains[lo:lo + head] -= drop[:head]
-    if head < span:
-        gains[:span - head] -= drop[head:]
+    buf[:base_len - 1] = 0
+    buf[span:] = 0
+    drop = _correlate(buf, window_conj, spec)
+    arcs = list(_arc(x - base_len + 1, span, gains.size))  # span < q
+    i = 0
+    for lo, hi in arcs:
+        gains[lo:hi] -= drop[i:i + hi - lo]
+        i += hi - lo
+    return arcs
+
+
+def _refresh(gains: np.ndarray, block_max: np.ndarray, lo: int, hi: int) -> None:
+    """Recompute the maxima of the _BLOCK-gain blocks that meet gains[lo:hi] (the last
+    block may be short)."""
+    b0, b1 = lo // _BLOCK, -(-hi // _BLOCK)
+    block_max[b0:b1] = np.maximum.reduceat(gains[b0 * _BLOCK:b1 * _BLOCK],
+                                           np.arange(0, (b1 - b0) * _BLOCK, _BLOCK))
 
 
 def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     """Up to t greedy shifts of A covering B; remainder = B \\ (A + X).
 
-    One FFT seeds the gains of all q shifts.  If A's window [0, L) is short
-    against q (_window_len), each pick then subtracts its windowed drop;
-    otherwise the gains are recomputed in full before each pick.  Both keep
-    exact gains (whole float64 counts up to q <= 2**26), so the picks
-    (argmax, smallest shift on ties) do not depend on the path.  Each path
-    allocates its FFT buffers once per round, not per pick.
+    The gains of all q shifts start at |A| when B is all of Z_q, and
+    otherwise from one q-point correlation (the seed).  If A's window
+    [0, L) is short against q (_window_len), each pick then subtracts its
+    windowed drop; otherwise the gains are recomputed in full before each
+    pick after the first.  Both keep exact gains (whole float64 counts up
+    to q <= 2**26), so the picks (argmax, smallest shift on ties) do not
+    depend on the path.  The argmax reads per-block maxima, refreshed only
+    where the gains changed.  B's uncovered part stays a packed bit array
+    for the round, and a pick touches only its bytes over [x, x + L).  Each
+    path allocates its FFT buffers once per round, not per pick.
     Over-budget gains_bytes(q) raise GuardError before any array is allocated.
     """
     if len(A) == 0:
@@ -186,30 +249,49 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     check_bytes(gains_bytes(q), f"gains over Z_{q}")
     base_len = A.bits.bit_length()
     n = _window_len(base_len, q)
-    fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q)))
-    gains, spec = np.empty(q), np.empty(q // 2 + 1, complex)
-    uncovered = B.bits
+    uncovered = np.frombuffer(bytearray(B.bits.to_bytes((q + 7) // 8, "little")), np.uint8)
+    base = np.frombuffer(A.bits.to_bytes((base_len + 7) // 8, "little"), np.uint8)
+    left = len(B)
+    # on B = Z_q every shift of A covers |A| residues; a partial B is seeded
+    gains = np.full(q, float(len(A)) if left == q else 0.0)
+    seed = 0 < left < q and t > 0
+    if seed or not n:  # A's q-point spectrum feeds the seed and the full recomputes
+        fa_conj = np.conj(np.fft.rfft(to_bools(A.bits, q)))
+        spec = np.empty(q // 2 + 1, complex)
+    if seed:
+        gains[:] = to_bools(B.bits, q)
+        _correlate(gains, fa_conj, spec)
     if n:
-        if uncovered and t:
-            _correlate(uncovered, q, fa_conj, gains, spec)
-        # only the seed reads A's q-point spectrum and its buffer: free them
-        # before the window's, so a pick's FFTs of length n < q peak near 8q + 24n bytes
+        # free the seed's q-point spectrum and buffer before the window's, so a
+        # pick's FFTs of length n < q peak near 8q + 24n bytes
         fa_conj = spec = None
         window_conj = np.conj(np.fft.rfft(to_bools(A.bits, base_len), n))
+        # pocketfft allocates scratch of about n doubles per transform.  glibc
+        # maps a block that size afresh each call, page faults and all, until
+        # freeing a larger mapped block raises its threshold: this untouched
+        # one of 2n doubles does, so the drops' scratch reuses heap pages
+        np.empty(2 * n)
         buf, spec = np.empty(n), np.empty(n // 2 + 1, complex)
+    block_max = np.empty(-(-q // _BLOCK))
+    _refresh(gains, block_max, 0, q)
     picks: list[int] = []
     trace: list[int] = []
-    while uncovered and len(picks) < t:
-        if not n:
-            _correlate(uncovered, q, fa_conj, gains, spec)
-        x = int(np.argmax(gains))
-        covered = uncovered & rotate(A.bits, x, q)
-        uncovered ^= covered
+    while left and len(picks) < t:
+        if picks and not n:  # the full path's first pick reads the seed or the |A| fill
+            gains[:] = np.unpackbits(uncovered, count=q, bitorder="little")
+            _correlate(gains, fa_conj, spec)
+            _refresh(gains, block_max, 0, q)
+        b = int(block_max.argmax()) * _BLOCK  # the first block holding the maximum
+        x = b + int(gains[b:b + _BLOCK].argmax())
+        left -= int(gains[x])  # the exact gain of x is |R|
+        _take(uncovered, base, base_len, q, x, buf[base_len - 1:2 * base_len - 1] if n else None)
         picks.append(x)
-        trace.append(uncovered.bit_count())
-        if n and uncovered and len(picks) < t:  # the last pick's drop would go unread
-            _subtract_drop(gains, window_conj, buf, spec, base_len, rotate(covered, -x, q), x)
-    return ShiftCover(X=ResidueSet.from_iterable(q, picks), remainder=ResidueSet(q, uncovered),
+        trace.append(left)
+        if n and left and len(picks) < t:  # the last pick's drop would go unread
+            for lo, hi in _subtract_drop(gains, window_conj, buf, spec, base_len, x):
+                _refresh(gains, block_max, lo, hi)
+    return ShiftCover(X=ResidueSet.from_iterable(q, picks),
+                      remainder=ResidueSet(q, int.from_bytes(uncovered.tobytes(), "little")),
                       picks=tuple(picks), uncovered_trace=tuple(trace))
 
 

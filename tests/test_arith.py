@@ -1,6 +1,7 @@
 """Bitset kernel: round trips and byte-identity with the pure-int definitions."""
 
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +94,8 @@ class TestToBools:
 
 
 class TestIrootCeil:
-    @given(st.integers(1, 10 ** 80), st.integers(1, 9))
+    @given(st.integers(1, 10 ** 80) | st.integers(1, 2 ** 4000),
+           st.integers(1, 9) | st.integers(1, 1200))
     @settings(max_examples=300, deadline=None)
     def test_brackets_the_root(self, n, k):
         r = iroot_ceil(n, k)
@@ -112,6 +114,20 @@ class TestIrootCeil:
     def test_beyond_float_range(self, n, k, r):
         # a float seed overflows on the first and never converges on the others
         assert iroot_ceil(n, k) == r
+
+    @pytest.mark.parametrize("n, k", [
+        (2 ** 1000 * factorial(1000), 1000),   # the root has 12 bits; a start at
+        (2 ** 1000 * factorial(1000) + 1, 999),  # 1 << ceil(bits/k) took 274 steps
+        (factorial(1021) * 7 ** 1021, 1021),
+        (3 ** 5000 - 1, 500),
+        (10 ** 3000, 7),                          # log2(n) past the float range of n
+        ((2 ** 61 - 1) ** 40, 40),               # an exact power with a 61-bit root
+        ((2 ** 61 - 1) ** 40 + 1, 40),
+        (2, 1000),                                # root just above 1
+    ])
+    def test_large_k(self, n, k):
+        r = iroot_ceil(n, k)
+        assert r ** k >= n > (r - 1) ** k
 
     def test_non_positive(self):
         assert iroot_ceil(0, 3) == 0
