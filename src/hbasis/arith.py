@@ -78,12 +78,21 @@ def prime_factors(n: int) -> list[int]:
 
 
 def mask_of(values) -> int:
-    # a plain loop: the one caller, ResidueSet.from_iterable, gets CLI members
-    # or greedy picks, a few thousand values at most
-    m = 0
+    """Mask with bit v set for each v in values, all non-negative.
+
+    Linear in the values and the mask: bits are set in a bytearray that is
+    converted once.  ORing one `1 << v` per value into a growing int would
+    rebuild the int each time, O(k q) for k values below q.
+    """
+    values = tuple(values)
+    if not values:
+        return 0
+    if min(values) < 0:
+        raise ValueError("mask positions must be non-negative")
+    buf = bytearray(max(values) // 8 + 1)
     for v in values:
-        m |= 1 << v
-    return m
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 def to_bools(bits: int, q: int) -> np.ndarray:

@@ -267,7 +267,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     # all (sum, parts) combos drawing one shift from each family, sorted
     combos = [(0, ())]
     for X in complement.families:
-        combos = [(s + x, parts + (x,)) for s, parts in combos for x in X.members]
+        members = X.members  # decoded from the mask on every read
+        combos = [(s + x, parts + (x,)) for s, parts in combos for x in members]
     combos.sort()
     # H mod q repeats no residue, so each assignment hits distinct indices;
     # walking the combos in reverse leaves the least c per residue

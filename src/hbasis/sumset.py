@@ -6,12 +6,14 @@ grow by each element e, S_j |= S_{j-1} << e for j = 1..h ascending, so
 S_{j-1} already holds e (repetition allowed).  An operand longer than
 [0, limit - e] is clipped first; that is sound because every element is
 non-negative.  `coverage_layers` (and so `h_fold_coverage`, `witness` and
-the B layers that `construct.decompose` reads), `_first_gap` (and so
-`verify_basis` and `n_of`) and `sidon.phi_exact` all grow their layers by
-this step.  `search.extremal_n` inlines the same recurrence on purpose: a
-`_grow` call per child made the benchmark's search ladder, (h, k) = (2, 11)
-(3, 8) (4, 7) (6, 6), slower in 6 of 6 alternating runs (median 0.77 s
-inline against 1.23 s with the call, 2-core host).
+the B layers that `construct.decompose` reads) and `sidon.phi_exact` grow
+full layers by this step.  `_first_gap` (and so `verify_basis` and `n_of`)
+grows only the bits a later element can still read: S_1..S_{h-1} by this
+step with limit n - e, and S_h, which is only checked, above the prefix
+already checked.  `search.extremal_n` inlines the same recurrence on
+purpose: a `_grow` call per child made the benchmark's search ladder,
+(h, k) = (2, 11) (3, 8) (4, 7) (6, 6), slower in 6 of 6 alternating runs
+(median 0.77 s inline against 1.23 s with the call, 2-core host).
 
 A subset of Z_q (ResidueSet) is a mask too, over [0, q-1]; shifts in Z_q
 are rotations of that mask.
@@ -200,24 +202,38 @@ def verify_basis(A: BasisSet, h: int, n: int) -> Certificate:
 def _first_gap(elements: tuple[int, ...], h: int, n: int):
     """Least z in [0, n] that is no sum of exactly h elements, or None.
 
-    The layers grow by `_grow` with limit n, one element at a time in
-    ascending order.  After element e_i no later sum can fall below e_{i+1},
-    so the bits of S_h below it are final; they are scanned on a doubling
-    schedule (O(n) bits in total) and the first gap found is the least one.
+    The elements are added one at a time in ascending order, and only bits a
+    later step can still read are grown.  S_1..S_{h-1} are read only as shift
+    sources for the current element e or a later one, so only their bits in
+    [0, n - e] matter: they grow by `_grow` with limit n - e, and not at all
+    once 2e > n.  S_h is only checked.  It is held as top = S_h >> o, where
+    every z < o is already checked covered, and grows by
+    (S_{h-1} & [0, n - e]) << (e - o), as e >= o.  After element e_i no later
+    sum can fall below e_{i+1}, so the bits of S_h below it are final; they are
+    checked on a doubling schedule (O(n) bits in total), the first gap found
+    is the least one, and a covered prefix is shifted out of top.
     """
     check_bytes(layers_bytes(h, n), f"{h + 1} sum layers over [0, {n}]")
     elems = [e for e in elements if e <= n]
     if not elems or elems[0] > 0:
         return 0  # 0 is a sum of h elements only as 0 + ... + 0
-    S = [1] + [0] * h
-    due = 0
+    low = [1] + [0] * (h - 1)
+    top = o = due = 0
     for i, e in enumerate(elems):
-        _grow(S, e, n)
+        room = n - e
+        if 2 * e <= n:
+            _grow(low, e, room)
+        src = low[-1]
+        if src.bit_length() > room + 1:
+            src &= window(room)
+        top |= src << (e - o)
         final = elems[i + 1] - 1 if i + 1 < len(elems) else n
         if final >= due:
-            gap = lowest_clear(S[h], final)
+            gap = lowest_clear(top, final - o)
             if gap is not None:
-                return gap
+                return gap + o
+            top >>= final + 1 - o
+            o = final + 1
             due = min(2 * final + 1, n)
     return None
 

@@ -64,6 +64,10 @@ class TestDecode:
         assert got == ref_bits_to_sorted(m) == tuple(sorted(set(values)))
         assert all(type(v) is int for v in got)
 
+    def test_rejects_negative_positions(self):
+        with pytest.raises(ValueError):
+            mask_of((3, -1))
+
     def test_million_bit_mask(self):
         rng = random.Random(5)
         values = {0, 10 ** 6 - 1} | set(rng.sample(range(10 ** 6), 1000))

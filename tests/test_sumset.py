@@ -1,5 +1,6 @@
 """Sumset oracle: worked examples, brute-force equivalence, and properties."""
 
+import random
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbasis.arith import MAX_BYTES, GuardError, iroot_ceil
+from hbasis.arith import MAX_BYTES, GuardError, iroot_ceil, lowest_clear
 from hbasis.construct import digit_basis
 from hbasis.sumset import (BasisSet, Certificate, ResidueSet, coverage_layers,
                            h_fold_coverage, layers_bytes, n_of, residue_sumset,
@@ -207,6 +208,96 @@ class TestVerify:
         assert cert.first_gap == gap
 
 
+def full_layers_gap(A, h, n):
+    """Least z in [0, n] outside hA, read off `coverage_layers`, which keeps
+    every layer over [0, n]: no cap at n - e and no offset on the top layer."""
+    return lowest_clear(coverage_layers(A, h, n)[h], n)
+
+
+def perturbed_digit_bases(count, seed):
+    """Digit bases {j b^i} with a few elements dropped or added, and n near
+    b^h - 1: (A, h, n) triples, some fully covered and some with a gap."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b, h = rng.randint(2, 7), rng.randint(1, 5)
+        elems = set(digit_basis(b, h).elements)
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                elems.discard(rng.choice(sorted(elems)))
+            else:
+                elems.add(rng.randrange(b ** h + 5))
+        yield (BasisSet.from_iterable(elems or {0}), h,
+               max(b ** h - 1 + rng.randint(-3, 3), 0))
+
+
+class TestFirstGapAgainstFullLayers:
+    """`verify_basis` and `n_of` grow the lower layers only over [0, n - e]
+    and hold the top layer above its checked prefix; full layers must agree."""
+
+    def test_perturbed_digit_bases(self):
+        outcomes = {True: 0, False: 0}
+        for A, h, n in perturbed_digit_bases(600, seed=32):
+            gap = full_layers_gap(A, h, n)
+            assert verify_basis(A, h, n) == Certificate(gap is None, gap), (A, h, n)
+            outcomes[gap is None] += 1
+            if 0 in A:
+                limit = h * A.max
+                top_gap = full_layers_gap(A, h, limit)
+                assert n_of(A, h) == (limit if top_gap is None else top_gap - 1)
+            else:
+                assert n_of(A, h) is None
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 30])
+    def test_element_at_half_n(self, m):
+        # n = m + m needs S_1 to hold m, added by the element e = n/2 itself
+        A = BasisSet(tuple(range(m + 1)))
+        assert verify_basis(A, 2, 2 * m).ok
+        assert verify_basis(A, 2, 2 * m + 1).first_gap == 2 * m + 1
+        assert n_of(A, 2) == 2 * m
+
+    @pytest.mark.parametrize("m", [2, 5, 30])
+    def test_element_just_past_half_n(self, m):
+        # e = n/2 + 1 grows no lower layer; n = e + (m - 1) needs the bit
+        # n - e of S_1, the last one the cap keeps
+        A = BasisSet(tuple(range(m)) + (m + 1,))
+        assert full_layers_gap(A, 2, 2 * m) is None
+        assert verify_basis(A, 2, 2 * m).ok
+        assert verify_basis(A, 3, 2 * m).ok
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_element_equal_to_n(self, h):
+        # [0, 8] needs two addends from {0..4}; n = 9 needs the element 9
+        A = BasisSet((0, 1, 2, 3, 4, 9))
+        gap = 5 if h == 1 else None
+        assert full_layers_gap(A, h, 9) == gap
+        assert verify_basis(A, h, 9) == Certificate(gap is None, gap)
+        assert verify_basis(BasisSet((0, 1, 2, 3, 4)), 2, 9).first_gap == 9
+
+    def test_h_one(self):
+        assert verify_basis(BasisSet((0, 1, 2, 3)), 1, 3).ok
+        assert verify_basis(BasisSet((0, 1, 2, 3)), 1, 4).first_gap == 4
+        assert verify_basis(BasisSet((0, 2, 3)), 1, 3).first_gap == 1
+        assert n_of(BasisSet((0, 1, 2, 5)), 1) == 2
+
+    def test_zero_missing(self):
+        A = BasisSet((1, 2, 3))
+        assert verify_basis(A, 2, 5) == Certificate(ok=False, first_gap=0)
+        assert full_layers_gap(A, 2, 5) == 0
+        assert n_of(A, 2) is None
+
+    def test_gap_right_after_the_offset_moves(self):
+        # h = 1, A = {0, 1, 3}: the check after 0 covers [0, 0] and moves the
+        # offset to 1; the check after 1 covers [1, 2] and finds 2
+        assert verify_basis(BasisSet((0, 1, 3)), 1, 5).first_gap == 2
+        # h = 2, A = {0, 1, 2, 5}: the checks after 0, 1 and 2 cover [0, 4]
+        # and move the offset to 5; the check after 5 finds 8 = 5 + 3
+        A = BasisSet((0, 1, 2, 5))
+        assert full_layers_gap(A, 2, 10) == 8
+        assert verify_basis(A, 2, 10).first_gap == 8
+        assert n_of(A, 2) == 7
+
+
 def traced_peak(fn, *args):
     """tracemalloc peak, in bytes, of one call fn(*args)."""
     tracemalloc.start()
@@ -226,12 +317,28 @@ class TestLayersModel:
             peak = traced_peak(fn, A, h, n)
             assert peak <= layers_bytes(h, n) <= 2 * peak, fn.__name__
 
-    def test_many_layers_over_a_short_range(self):
-        # at n = 8 each layer is a list slot and a small int
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_many_layers_over_a_short_range(self, n):
+        # each layer is a list slot and a small int.  At n = 8, verify caps
+        # its lower layers at n - e <= 7 bits, values CPython keeps cached,
+        # so its peak is the list alone and only the upper bound holds; at
+        # n = 16 every element is still <= n / 2 and the capped layers are
+        # real ints
         h = 10 ** 5
+        A = BasisSet((0, 1, 3, 4))
         for fn in (verify_basis, coverage_layers):
-            peak = traced_peak(fn, BasisSet((0, 1, 3, 4)), h, 8)
-            assert peak <= layers_bytes(h, 8) <= 2 * peak, fn.__name__
+            peak = traced_peak(fn, A, h, n)
+            assert peak <= layers_bytes(h, n), fn.__name__
+            if fn is coverage_layers or n == 16:
+                assert layers_bytes(h, n) <= 2 * peak, fn.__name__
+
+    def test_verify_peaks_below_full_layers(self):
+        # the cap at n - e and the offset top layer are in effect
+        h, n = 6, 2 * 10 ** 6
+        A = digit_basis(iroot_ceil(n + 1, h), h)
+        capped = traced_peak(verify_basis, A, h, n)
+        full = traced_peak(coverage_layers, A, h, n)
+        assert capped < 0.8 * full, (capped, full)
 
     def test_over_budget_refused_before_allocation(self):
         # 13 layers over [0, 2**32 - 1] model ~8.6 GB; 1e9 layers over [0, 8] ~44 GB
