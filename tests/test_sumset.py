@@ -317,8 +317,7 @@ class TestLayersModel:
             peak = traced_peak(fn, A, h, n)
             assert peak <= layers_bytes(h, n) <= 2 * peak, fn.__name__
 
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_many_layers_over_a_short_range(self, n):
+    def test_many_layers_over_a_short_range(self):
         # each layer is a list slot and a small int.  At n = 8, verify caps
         # its lower layers at n - e <= 7 bits, values CPython keeps cached,
         # so its peak is the list alone and only the upper bound holds; at
@@ -326,11 +325,12 @@ class TestLayersModel:
         # real ints
         h = 10 ** 5
         A = BasisSet((0, 1, 3, 4))
-        for fn in (verify_basis, coverage_layers):
-            peak = traced_peak(fn, A, h, n)
-            assert peak <= layers_bytes(h, n), fn.__name__
-            if fn is coverage_layers or n == 16:
-                assert layers_bytes(h, n) <= 2 * peak, fn.__name__
+        for n in (8, 16):
+            for fn in (verify_basis, coverage_layers):
+                peak = traced_peak(fn, A, h, n)
+                assert peak <= layers_bytes(h, n), (fn.__name__, n)
+                if fn is coverage_layers or n == 16:
+                    assert layers_bytes(h, n) <= 2 * peak, (fn.__name__, n)
 
     def test_verify_peaks_below_full_layers(self):
         # the cap at n - e and the offset top layer are in effect
