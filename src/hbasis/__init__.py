@@ -10,16 +10,14 @@ from .construct import (ConstructionPlan, ConstructionResult, build_theorem1,
 from .cover import (ComplementFamily, complement_size_bound, greedy_shift_cover,
                     k_complement)
 from .search import SearchResult, extremal_n, oracle_exhaustive, zeta_exact
-from .sidon import (FieldSpec, SidonSet, bose_chowla, build_field, is_bk,
-                    phi_exact)
-from .sumset import (BasisSet, Certificate, CoverageMap, ResidueSet,
-                     h_fold_coverage, n_of, residue_sumset, verify_basis,
-                     witness)
+from .sidon import FieldSpec, SidonSet, bose_chowla, is_bk
+from .sumset import (BasisSet, Certificate, ResidueSet, n_of, residue_sumset,
+                     verify_basis)
 
 __all__ = [
-    "BasisSet", "Certificate", "CoverageMap", "ResidueSet",
-    "h_fold_coverage", "n_of", "verify_basis", "witness", "residue_sumset",
-    "FieldSpec", "SidonSet", "build_field", "bose_chowla", "is_bk", "phi_exact",
+    "BasisSet", "Certificate", "ResidueSet",
+    "n_of", "verify_basis", "residue_sumset",
+    "FieldSpec", "SidonSet", "bose_chowla", "is_bk",
     "ComplementFamily", "greedy_shift_cover", "k_complement", "complement_size_bound",
     "ConstructionPlan", "ConstructionResult", "tau", "plan_params",
     "digit_basis", "build_theorem1", "decompose",

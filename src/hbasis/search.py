@@ -94,8 +94,8 @@ def extremal_n(h: int, k: int, node_budget: int = 1_000_000) -> SearchResult:
     with the incumbent.  Value, witness and nodes_explored are those of
     pushing them.
     """
-    if h < 1 or k < 1:
-        raise ValueError("need h >= 1, k >= 1")
+    if h < 1 or k < 1 or node_budget < 1:
+        raise ValueError("need h >= 1, k >= 1, node_budget >= 1")
     check_bytes(8 * h, f"the root's {h} search layers")  # one tuple slot each
     cap = comb(k + h, h)
     # r -> _count_weights(h, r), built as the search first reaches r: a full

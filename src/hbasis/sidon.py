@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb
 
-from .arith import GuardError, is_prime, prime_factors
-from .sumset import _grow
+from .arith import is_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -76,21 +74,12 @@ def _power_walk(f, p: int, k: int):
     return logs if cur == one else None
 
 
-def build_field(p: int, k: int) -> FieldSpec:
-    """Lexicographically smallest monic primitive degree-k polynomial over F_p.
-
-    Primitive (not merely irreducible): the residue class of x must generate
-    the full multiplicative group, so that theta + a has a discrete log for
-    every a in F_p.
-    """
-    return bose_chowla(p, k).field
-
-
 def bose_chowla(p: int, k: int) -> SidonSet:
     """B = { d : theta^d = theta + a, a in F_p } in Z_{p^k - 1}; |B| = p, 1 in B.
 
-    theta is x modulo the field of build_field(p, k); the logs come from the
-    same power walk that proves the modulus primitive.
+    theta is x modulo f, the lexicographically smallest monic primitive (not
+    merely irreducible) degree-k polynomial over F_p, so theta + a has a log
+    for every a in F_p; the logs come from the walk that proves f primitive.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -131,41 +120,3 @@ def is_bk(S, k: int, modulus: int | None = None) -> bool:
             return False
         sums.add(s)
     return True
-
-
-def phi_exact(n: int, k: int):
-    """Maximum B_k subset of [0, n] by exhaustive backtracking.
-
-    Returns (size, witness) with the lexicographically smallest witness
-    among maximizers.  sums[j] is the mask of all j-element multiset sums
-    of the current S.  Adding e grows a copy of them by `sumset._grow`,
-    S'_j = S_j | (S'_{j-1} << e) for j = 1..k ascending.  S u {e} has
-    C(|S|+k, k) k-element multisets, so e is kept iff S'_k has exactly that
-    many bits, that is, iff all its k-sums are distinct.  Guarded: intended
-    for n up to ~60 at k = 2.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if (n + 1) ** k > 300_000:
-        raise GuardError(f"phi_exact range too large: n={n}, k={k}")
-
-    best_set: tuple[int, ...] = ()
-
-    def extend(S, sums, start):
-        nonlocal best_set
-        if len(S) > len(best_set):
-            best_set = tuple(S)
-        for e in range(start, n + 1):
-            if len(S) + (n - e + 1) <= len(best_set):
-                break
-            grown = sums.copy()
-            _grow(grown, e, k * n)  # no k-sum of [0, n] passes k*n: no clip
-            if grown[k].bit_count() == comb(len(S) + k, k):
-                S.append(e)
-                extend(S, grown, e + 1)
-                S.pop()
-
-    extend([], [1] + [0] * k, 0)
-    return len(best_set), best_set

@@ -5,15 +5,15 @@ recurrence, `_grow`: the j-sums S_j of the elements taken so far (S_0 = 1)
 grow by each element e, S_j |= S_{j-1} << e for j = 1..h ascending, so
 S_{j-1} already holds e (repetition allowed).  An operand longer than
 [0, limit - e] is clipped first; that is sound because every element is
-non-negative.  `coverage_layers` (and so `h_fold_coverage`, `witness` and
-the B layers that `construct.decompose` reads) and `sidon.phi_exact` grow
-full layers by this step.  `_first_gap` (and so `verify_basis` and `n_of`)
-grows only the bits a later element can still read: S_1..S_{h-1} by this
-step with limit n - e, and S_h, which is only checked, above the prefix
-already checked.  `search.extremal_n` inlines the same recurrence on
-purpose: a `_grow` call per child made the benchmark's search ladder,
-(h, k) = (2, 11) (3, 8) (4, 7) (6, 6), slower in 6 of 6 alternating runs
-(median 0.77 s inline against 1.23 s with the call, 2-core host).
+non-negative.  `coverage_layers` grows full layers by this step: B's
+layers in `construct.build_theorem1`, and the tests' reference.
+`_first_gap` (and so `verify_basis` and `n_of`) grows only the bits a later
+element can still read: S_1..S_{h-1} by this step with limit n - e, and
+S_h, which is only checked, above the prefix already checked.
+`search.extremal_n` inlines the same recurrence on purpose: a `_grow` call
+per child made the benchmark's search ladder, (h, k) = (2, 11) (3, 8)
+(4, 7) (6, 6), slower in 6 of 6 alternating runs (median 0.77 s inline
+against 1.23 s with the call, 2-core host).
 
 A subset of Z_q (ResidueSet) is a mask too, over [0, q-1]; shifts in Z_q
 are rotations of that mask.
@@ -58,25 +58,6 @@ class BasisSet:
     @property
     def max(self) -> int:
         return self.elements[-1]
-
-
-@dataclass(frozen=True)
-class CoverageMap:
-    """Bitmask over [0, limit]: bit z set iff z is a sum of exactly h elements."""
-
-    limit: int
-    h: int
-    bits: int
-
-    def __contains__(self, z: int) -> bool:
-        return 0 <= z <= self.limit and (self.bits >> z) & 1 == 1
-
-    def first_gap(self):
-        """Least uncovered integer in [0, limit], or None if fully covered."""
-        return lowest_clear(self.bits, self.limit)
-
-    def to_sorted(self) -> tuple[int, ...]:
-        return bits_to_sorted(self.bits)
 
 
 @dataclass(frozen=True)
@@ -142,7 +123,9 @@ def _grow(S: list[int], e: int, limit: int) -> None:
 
 def layers_bytes(h: int, limit: int) -> int:
     """Peak bytes of h + 1 layers over [0, limit] grown by `_grow`: at most h + 3 masks (layer i
-    holds min(i e, limit) bits while e is added), plus ~40 bytes per layer."""
+    holds min(i e, limit) bits while e is added), plus ~40 bytes per layer.  This models the
+    peak of `coverage_layers`; for `verify_basis` and `n_of` it is an upper bound (digit bases
+    at n = 2e6 and 8e6 peak at 3.0 masks at h = 2 up to 12.3 at h = 12, against h + 3)."""
     return (h + 3) * mask_bytes(limit) + 40 * (h + 1)
 
 
@@ -150,7 +133,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
     """Bitmasks of the exactly-i sumsets for i = 0..h, each clipped to [0, limit].
 
     layers[i] has bit z set iff z is a sum of exactly i elements of A
-    (layers[0] = 1, the empty sum).  Shared by witness backtracking.
+    (layers[0] = 1, the empty sum); `backtrack_witness` reads the lower ones.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -163,12 +146,6 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
             break
         _grow(layers, e, limit)
     return layers
-
-
-def h_fold_coverage(A: BasisSet, h: int, limit: int) -> CoverageMap:
-    """Exactly-h sums of A (repetition allowed) intersected with [0, limit]."""
-    layers = coverage_layers(A, h, limit)
-    return CoverageMap(limit=limit, h=h, bits=layers[h])
 
 
 def n_of(A: BasisSet, h: int):
@@ -236,20 +213,6 @@ def _first_gap(elements: tuple[int, ...], h: int, n: int):
             o = final + 1
             due = min(2 * final + 1, n)
     return None
-
-
-def witness(A: BasisSet, h: int, z: int):
-    """A multiset of exactly h elements of A summing to z, or None.
-
-    Reconstructed by DP-layer backtracking, largest feasible element first;
-    the ordering is fixed so identical inputs give identical witnesses.
-    """
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    layers = coverage_layers(A, h, z)
-    if not (layers[h] >> z) & 1:
-        return None
-    return backtrack_witness(layers, A.elements, h, z)
 
 
 def backtrack_witness(layers: list[int], elements: tuple[int, ...], h: int, z: int) -> tuple[int, ...]:

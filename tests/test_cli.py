@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import hbasis
 from hbasis import arith, construct, sidon
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
@@ -314,6 +315,14 @@ class TestSearchAndTable:
         assert code == 1
         assert parse_document(out)["optimal"] == "false"
 
+    def test_budget_below_one_exit_2(self, capsys):
+        # a search that may explore no node proves nothing: invalid, not exit 1
+        for argv in (["search", "--h", "2", "--k", "3", "--budget", "-1"],
+                     ["search", "--h", "2", "--k", "3", "--budget", "0"],
+                     ["table", "--h", "2", "--k-max", "3", "--budget", "0"]):
+            assert run_cli(argv) == (2, ""), argv
+            assert "node_budget >= 1" in capsys.readouterr().err, argv
+
     def test_search_oracle(self):
         code, out = run_cli(["search", "--h", "2", "--k", "3", "--oracle"])
         assert code == 0
@@ -408,6 +417,14 @@ class TestPinnedPayloads:
             assert code == 0, argv
             out = out.replace(str(tmp_path), "<DIR>")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+class TestExports:
+    def test_star_import_resolves_every_name_once(self):
+        namespace = {}
+        exec("from hbasis import *", namespace)  # AttributeError on a stale name
+        assert len(set(hbasis.__all__)) == len(hbasis.__all__)
+        assert all(name in namespace for name in hbasis.__all__)
 
 
 class TestBasisFile:

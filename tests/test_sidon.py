@@ -1,4 +1,4 @@
-"""Bose-Chowla construction, field building, B_k checking, exact Phi_k."""
+"""Bose-Chowla construction, field building and B_k checking."""
 
 import hashlib
 import json
@@ -6,8 +6,7 @@ from itertools import product
 
 import pytest
 
-from hbasis.arith import GuardError
-from hbasis.sidon import bose_chowla, build_field, is_bk, phi_exact
+from hbasis.sidon import bose_chowla, is_bk
 
 _PRIMES_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 PINNED_CASES = ([(p, 2) for p in _PRIMES_50]
@@ -18,19 +17,14 @@ PINNED_CASES = ([(p, 2) for p in _PRIMES_50]
 # SHA-256 of the compact JSON list of [p, k, modulus, elements] over
 # PINNED_CASES, recorded with the earlier polynomial-arithmetic field search
 PINNED_TABLE_SHA256 = "ef65dbbdb82a90c5cebdf7cdd19836ff28dc338004a7cb02a64a9ce0b84c25c8"
-PHI_CASES = ([(n, 2) for n in range(31)] + [(n, 3) for n in range(25)]
-             + [(n, 4) for n in range(13)])
-# SHA-256 over f"{n} {k} {phi_exact(n, k)}\n" for PHI_CASES, recorded with
-# the earlier set-based backtracking
-PHI_SHA256 = "d80c3c07aaa9897bcfa5771ca2d95bb566578a0a39051920fa7af61381fff20d"
 
 
 class TestBuildField:
     def test_gf9(self):
-        assert build_field(3, 2).modulus == (2, 1, 1)
+        assert bose_chowla(3, 2).field.modulus == (2, 1, 1)
 
     def test_gf4(self):
-        assert build_field(2, 2).modulus == (1, 1, 1)
+        assert bose_chowla(2, 2).field.modulus == (1, 1, 1)
 
     def test_gf25_is_lex_minimal_primitive(self):
         _assert_lex_minimal_primitive(5, 2)
@@ -41,17 +35,18 @@ class TestBuildField:
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
-            build_field(9, 2)
+            bose_chowla(9, 2)
 
     def test_pinned_table(self):
-        rows = [[p, k, list(build_field(p, k).modulus), list(bose_chowla(p, k).elements)]
-                for p, k in PINNED_CASES]
+        sets = [bose_chowla(p, k) for p, k in PINNED_CASES]
+        rows = [[p, k, list(s.field.modulus), list(s.elements)]
+                for (p, k), s in zip(PINNED_CASES, sets)]
         blob = json.dumps(rows, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_TABLE_SHA256
 
 
 def _assert_lex_minimal_primitive(p, k):
-    spec = build_field(p, k)
+    spec = bose_chowla(p, k).field
     # independent scan: no lex-earlier monic polynomial may be primitive
     for coeffs in product(range(p), repeat=k):
         f = coeffs + (1,)
@@ -108,30 +103,3 @@ class TestIsBk:
         base = bose_chowla(7, 2).elements
         assert is_bk(base[:4], 2, 48)
         assert is_bk(base[2:], 2)
-
-
-class TestPhiExact:
-    def test_examples(self):
-        assert phi_exact(3, 2) == (3, (0, 1, 3))
-        assert phi_exact(6, 2) == (4, (0, 1, 4, 6))
-        assert phi_exact(0, 2) == (1, (0,))
-
-    def test_monotone_in_n(self):
-        sizes = [phi_exact(n, 2)[0] for n in range(13)]
-        assert sizes == sorted(sizes)
-
-    def test_witness_is_bk(self):
-        for n in (5, 9, 12):
-            size, wit = phi_exact(n, 3)
-            assert len(wit) == size
-            assert is_bk(wit, 3)
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            phi_exact(10_000, 3)
-
-    def test_pinned_sizes_and_witnesses(self):
-        digest = hashlib.sha256()
-        for n, k in PHI_CASES:
-            digest.update(f"{n} {k} {phi_exact(n, k)}\n".encode())
-        assert digest.hexdigest() == PHI_SHA256

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbasis.arith import MAX_BYTES, GuardError, iroot_ceil, lowest_clear
+from hbasis.arith import (MAX_BYTES, GuardError, bits_to_sorted, iroot_ceil,
+                          lowest_clear)
 from hbasis.construct import digit_basis
-from hbasis.sumset import (BasisSet, Certificate, ResidueSet, coverage_layers,
-                           h_fold_coverage, layers_bytes, n_of, residue_sumset,
-                           verify_basis, witness)
+from hbasis.sumset import (BasisSet, Certificate, ResidueSet, backtrack_witness,
+                           coverage_layers, layers_bytes, n_of, residue_sumset,
+                           verify_basis)
 
 
 def brute_coverage(elements, h, limit):
@@ -68,20 +69,25 @@ class TestBasisSet:
         assert (v in A) == (v in A.elements)
 
 
+def top_layer(A, h, limit):
+    """Bitmask of the exactly-h sums of A in [0, limit]."""
+    return coverage_layers(A, h, limit)[h]
+
+
 class TestCoverage:
     def test_two_fold_of_binary(self):
-        assert h_fold_coverage(BasisSet((0, 1)), 2, 4).to_sorted() == (0, 1, 2)
+        assert bits_to_sorted(top_layer(BasisSet((0, 1)), 2, 4)) == (0, 1, 2)
 
     def test_all_zero_addends(self):
-        assert h_fold_coverage(BasisSet((0,)), 5, 10).to_sorted() == (0,)
+        assert bits_to_sorted(top_layer(BasisSet((0,)), 5, 10)) == (0,)
 
     def test_pair_sums(self):
-        cov = h_fold_coverage(BasisSet((0, 1, 3)), 2, 10)
-        assert cov.to_sorted() == (0, 1, 2, 3, 4, 6)
+        cov = top_layer(BasisSet((0, 1, 3)), 2, 10)
+        assert bits_to_sorted(cov) == (0, 1, 2, 3, 4, 6)
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            h_fold_coverage(BasisSet((0, 1)), 0, 4)
+            coverage_layers(BasisSet((0, 1)), 0, 4)
 
     @given(small_basis, st.integers(1, 5), st.integers(0, 120))
     @settings(max_examples=150, deadline=None)
@@ -96,7 +102,7 @@ class TestCoverage:
     @given(small_basis, st.integers(1, 4), st.integers(0, 120))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_enumeration(self, A, h, limit):
-        got = set(h_fold_coverage(A, h, limit).to_sorted())
+        got = set(bits_to_sorted(top_layer(A, h, limit)))
         assert got == brute_coverage(A.elements, h, limit)
 
     @given(small_basis, st.integers(1, 3), st.integers(0, 60),
@@ -104,16 +110,16 @@ class TestCoverage:
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_elements(self, A, h, limit, extra):
         bigger = BasisSet.from_iterable(A.elements + (extra,))
-        small = h_fold_coverage(A, h, limit).bits
-        large = h_fold_coverage(bigger, h, limit).bits
+        small = top_layer(A, h, limit)
+        large = top_layer(bigger, h, limit)
         assert small & ~large == 0
 
     @given(small_basis, st.integers(1, 3), st.integers(0, 60))
     @settings(max_examples=80, deadline=None)
     def test_nesting_with_zero(self, A, h, limit):
         withz = BasisSet.from_iterable(A.elements + (0,))
-        lo = h_fold_coverage(withz, h, limit).bits
-        hi = h_fold_coverage(withz, h + 1, limit).bits
+        lo = top_layer(withz, h, limit)
+        hi = top_layer(withz, h + 1, limit)
         assert lo & ~hi == 0
 
 
@@ -352,21 +358,23 @@ class TestLayersModel:
 
 class TestWitness:
     def test_examples(self):
-        assert witness(BasisSet((0, 1, 3)), 2, 4) == (1, 3)
-        assert witness(BasisSet((0, 1, 3)), 2, 5) is None
-        assert witness(BasisSet((0, 2)), 3, 0) == (0, 0, 0)
+        A = BasisSet((0, 1, 3))
+        layers = coverage_layers(A, 2, 5)
+        assert backtrack_witness(layers, A.elements, 2, 4) == (1, 3)
+        assert not (layers[2] >> 5) & 1
+        zeros = BasisSet((0, 2))
+        assert backtrack_witness(coverage_layers(zeros, 3, 0), zeros.elements, 3, 0) == (0, 0, 0)
 
     @given(small_basis, st.integers(1, 4), st.integers(0, 120))
     @settings(max_examples=150, deadline=None)
     def test_consistent_with_coverage(self, A, h, z):
-        cov = h_fold_coverage(A, h, z)
-        w = witness(A, h, z)
-        if z in cov:
-            assert w is not None
+        layers = coverage_layers(A, h, z)
+        covered = z in brute_coverage(A.elements, h, z)
+        assert (layers[h] >> z) & 1 == covered
+        if covered:
+            w = backtrack_witness(layers, A.elements, h, z)
             assert len(w) == h and sum(w) == z
             assert all(a in A.elements for a in w)
-        else:
-            assert w is None
 
 
 class TestResidueSet:
