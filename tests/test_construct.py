@@ -415,3 +415,19 @@ class TestPinnedMultiLift:
                 line = f"{z} err\n"
             digest.update(line.encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestPinnedOverride:
+    # SHA-256 over the witness of every z <= n on the perfect-power override
+    # (1e5, 5, 2, 4), part b of the decompose benchmark: p = 11, q = 1,331,
+    # 150 family combos, and every z decomposes.
+    DIGEST = "dbeaab14e1f64868987a9f4dacef0e6bd8cdf26749a1020494c6b6b705521198"
+
+    def test_every_witness(self):
+        res = build_theorem1(plan_params(10 ** 5, 5, 2, 4))
+        assert (res.plan.p, res.plan.q, len(res.y_combos)) == (11, 1331, 150)
+        digest = hashlib.sha256()
+        for z in range(res.plan.n + 1):
+            w = decompose(z, res)
+            digest.update(f"{z} {w.addends} {w.from_a} {w.from_b} {w.from_c} {w.from_d}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
