@@ -149,6 +149,8 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 
 def _cmd_search(args) -> tuple[int, str]:
+    if args.budget < 1:  # the oracle path ignores the budget, but its manifest records it
+        raise ValueError("need node_budget >= 1")
     if args.oracle:
         res = oracle_exhaustive(args.h, args.k)
     else:

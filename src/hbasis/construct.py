@@ -18,16 +18,23 @@ computation over [0, n]; nothing is reported as a basis on faith.
 check, the certificate decompose's residue path rests on, so a G that
 covers [0, n] while a residue has no family combo is not verified.
 The result also keeps, outside its repr and equality, what decompose
-reads and nothing already held elsewhere: B's layer stack, the family
-combos and a per-residue index into them.  A's digit base b follows
-from |A| = h(b-1) + 1, and each lift of a residue is tested on H's own
-mask.
+reads and nothing already held elsewhere: the family combos, a
+per-residue index into them, a lift table for H, and the place values of
+A's and D's digits.  So a query shifts no mask and walks no layer
+stack.
 
 The index y_first[r] is the least combo c with r - y_c mod q in H mod q,
 or the combo count if none has it, which k_complement's exhaustive
 completeness check rules out.  It takes 4q bytes (int32), inside the
 gains_bytes(q) = 34q that plan_params already checks for the greedy over
 the same Z_q.
+
+The lift table maps each residue class of H mod q to the least x in H in
+that class and its B-multiset.  B is a B_{h-a} set (Bose-Chowla), so each
+x in H is the sum of exactly one multiset of h-a elements of B, and the
+table is filled by one walk over those multisets; the build checks that
+their sums are distinct.  `_lifts_bytes` models it, and plan_params checks
+the model beside B's layers before anything is built.
 
 Every plan carries the invariant decompose relies on: p^h > n, and the
 headroom of `_headroom` (h*q > n, or (h-a) max(B) + k(q-1) < h*q).  So
@@ -39,7 +46,9 @@ and s - t <= n // q < p^{a-k}: the quotient is a digit string of D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, exp, factorial, log
+from itertools import combinations_with_replacement
+from math import ceil, comb, exp, factorial, log
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +56,9 @@ from .arith import (bits_to_sorted, check_bytes, fold, iroot_ceil,
                     next_prime_at_least, to_bools)
 from .cover import ComplementFamily, complement_size_bound, gains_bytes, k_complement
 from .sidon import bose_chowla
-from .sumset import (BasisSet, ResidueSet, backtrack_witness,
+# backtrack_witness stays bound here for perfbench's tracer; decompose reads
+# the lift table instead
+from .sumset import (BasisSet, ResidueSet, backtrack_witness,  # noqa: F401
                      coverage_layers, layers_bytes, verify_basis)
 
 
@@ -98,15 +109,20 @@ class ConstructionResult:
     complement: ComplementFamily
     verified: bool
     first_gap: int | None
-    # Read by decompose only, beside comp_a (A = digit_basis(b, h) with
-    # b^h > h*q, so b = (|A| - 1) // h + 1) and comp_b.  b_layers[i] holds
-    # the exactly-i sums of B over [0, max(H)], H = b_layers[h-a]; y_combos
-    # holds (sum, parts) for one shift per family, sorted; y_first (int32,
+    # Read by decompose only.  y_combos holds (sum, sorted parts) for one
+    # shift per family, in (sum, family-order parts) order; y_first (int32,
     # read-only, 4q bytes) holds per residue r the least combo index c with
-    # r - y_c in H mod q, len(y_combos) where no combo lifts r.
-    b_layers: tuple[int, ...] = field(repr=False, compare=False)
+    # r - y_c in H mod q, len(y_combos) where no combo lifts r; lifts (a
+    # read-only mapping) takes each residue of H mod q, H = (h-a)B, to
+    # (x, B-multiset), x the least element of H in that class; a_digits is
+    # (b, places) for A = digit_basis(b, h) and d_digits (p, places) for D,
+    # places the (digit place, addend unit) pairs, (b^i, b^i) and
+    # (p^i, p^(h-a+k+i)).
     y_combos: tuple[tuple[int, tuple[int, ...]], ...] = field(repr=False, compare=False)
     y_first: np.ndarray = field(repr=False, compare=False)
+    lifts: MappingProxyType = field(repr=False, compare=False)
+    a_digits: tuple[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
+    d_digits: tuple[int, tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
 
     @property
     def sizes(self) -> dict:
@@ -175,6 +191,14 @@ def _gains_q(p: int, e: int) -> int:
     return p ** e
 
 
+def _lifts_bytes(q: int, p_prime: int, h_a: int) -> int:
+    """Peak bytes of the lift table: one entry per residue of H mod q, so at most
+    min(q, C(p' + h-a - 1, h-a)) as |B| = p', each at most about 256 + 8(h-a) bytes
+    (a dict slot and its resize, the key, the (x, parts) pair, x and the parts
+    tuple).  Tables of 47,278 to 1.16M entries measured 225-243 bytes per entry."""
+    return min(q, comb(p_prime + h_a - 1, h_a)) * (256 + 8 * h_a)
+
+
 def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> ConstructionPlan:
     """Pick (k, a): paper formulas when feasible, else a grid over small pairs.
 
@@ -184,8 +208,9 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     and it has headroom; otherwise `_grid_pair` walks 1 <= k <= a <= h-2 and
     minimizes the predicted |G| ledger over pairs with headroom.  An override
     that breaks either rule is refused.  p is taken once and p' once per a;
-    a verify, gains or B layer stack over the memory budget is refused before
-    the plan is built, and a formula or override pair's gains before its p'.
+    a verify, gains, B layer stack or lift table over the memory budget is
+    refused before the plan is built, and a formula or override pair's gains
+    before its p'.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -219,6 +244,7 @@ def plan_params(n: int, h: int, k: int | None = None, a: int | None = None) -> C
     # B's layers (B < p'^(h-a)) before its walk
     h_a = h - a
     check_bytes(layers_bytes(h_a, h_a * p_prime ** h_a), f"B's layers, p' = {p_prime},")
+    check_bytes(_lifts_bytes(q, p_prime, h_a), f"B's lift table, p' = {p_prime},")
     return ConstructionPlan(n=n, h=h, p=p, k=k, a=a, m=p ** h_a * factorial(h_a),
                             q=q, p_prime=p_prime, feasibility=feasibility)
 
@@ -232,6 +258,18 @@ def digit_basis(b: int, h: int) -> BasisSet:
     if b < 2 or h < 1:
         raise ValueError("need b >= 2, h >= 1")
     return BasisSet.from_iterable(j * b ** i for j in range(b) for i in range(h))
+
+
+def _lift_table(b_elems: tuple[int, ...], h_a: int, q: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """{x mod q: (x, parts)} over the multisets `parts` of h_a elements of B, sorted,
+    x = sum(parts) the least such sum in its residue class."""
+    lifts = {}
+    for parts in combinations_with_replacement(b_elems, h_a):
+        x = sum(parts)
+        r = x % q
+        if r not in lifts or x < lifts[r][0]:
+            lifts[r] = (x, parts)
+    return lifts
 
 
 def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
@@ -250,20 +288,25 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
 
     b_set = BasisSet(b_elems)
     limit_h = h_a * b_set.max
-    b_layers = coverage_layers(b_set, h_a, limit_h)
+    h_bits = coverage_layers(b_set, h_a, limit_h)[h_a]
+    if h_bits.bit_count() != comb(len(b_elems) + h_a - 1, h_a):
+        raise AssertionError("B is not a B_{h-a} set: two multisets share a sum")
 
-    complement = k_complement(ResidueSet(q, fold(b_layers[h_a], limit_h, q)), k)
+    complement = k_complement(ResidueSet(q, fold(h_bits, limit_h, q)), k)
     c_elems = bits_to_sorted(complement.union.bits)
 
     d_elems = tuple(sorted({0} | {j * p ** i
                                   for j in range(1, p)
                                   for i in range(h_a + k, h)}))
 
-    a_set = digit_basis(iroot_ceil(h * q + 1, h), h)
+    b = iroot_ceil(h * q + 1, h)
+    a_set = digit_basis(b, h)
 
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
 
+    # filled after the greedy and the verify, so that it does not add to their peak
+    lifts = _lift_table(b_elems, h_a, q)
     # all (sum, parts) combos drawing one shift from each family, sorted
     combos = [(0, ())]
     for X in complement.families:
@@ -284,8 +327,11 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               complement=complement,
                               verified=cert.ok and complement.complete,
                               first_gap=cert.first_gap,
-                              b_layers=tuple(b_layers),
-                              y_combos=tuple(combos), y_first=y_first)
+                              y_combos=tuple((s, tuple(sorted(parts))) for s, parts in combos),
+                              y_first=y_first, lifts=MappingProxyType(lifts),
+                              a_digits=(b, tuple((b ** i, b ** i) for i in range(h))),
+                              d_digits=(p, tuple((p ** i, p ** (h_a + k + i))
+                                                 for i in range(a - k))))
 
 
 @dataclass(frozen=True)
@@ -298,51 +344,42 @@ class DecompositionWitness:
     from_d: tuple[int, ...]
 
 
-def _digit_terms(v: int, b: int, count: int, unit: int = 1) -> tuple[int, ...]:
-    """d_i * b^i * unit for the base-b digits d_0 .. d_{count-1} of v, lowest first."""
-    return tuple(v // b ** i % b * b ** i * unit for i in range(count))
-
-
 def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     """Express z as exactly h addends drawn from the claimed components.
 
     z < h*q < b^h is the sum of its h base-b digit terms d_i b^i, all in A;
     largest-first backtracking over A's layers would return the same terms.
     Otherwise z = s*q + r is matched residue-first: y is the combo y_first[r],
-    the first with some x in H = (h-a)B and x + y == r (mod q), and x is the
-    least such lift.  The plan's headroom makes that first pick final: the
-    overshoot t = (x + y - r)/q is at most ((h-a) max(B) + k(q-1)) // q <= h-1
-    < s, and s - t <= n // q < p^{a-k} since p^h > n, so s - t is written in
-    base p on D's exponents.  A residue that no combo lifts is a construction
-    counterexample and is raised, never papered over.
+    the first with some x in H = (h-a)B and x + y == r (mod q), and the lift
+    table gives x, the least such lift, with its B-multiset.  The plan's
+    headroom makes that first pick final: the overshoot t = (x + y - r)/q is
+    at most ((h-a) max(B) + k(q-1)) // q <= h-1 < s, and s - t <= n // q <
+    p^{a-k} since p^h > n, so s - t is written in base p on D's exponents.  A
+    residue that no combo lifts is a construction counterexample and is
+    raised, never papered over.
     """
     plan = result.plan
     if not result.verified:
         raise ValueError("decompose requires a verified result")
     if not 0 <= z <= plan.n:
         raise ValueError("z out of range")
-    h, p, k, a, q = plan.h, plan.p, plan.k, plan.a, plan.q
-    h_a = h - a
+    q = plan.q
 
-    if z < h * q:
-        addends = tuple(sorted(_digit_terms(z, (len(result.comp_a) - 1) // h + 1, h)))
-        return DecompositionWitness(z=z, addends=addends, from_a=addends,
-                                    from_b=(), from_c=(), from_d=())
+    if z < plan.h * q:
+        b, places = result.a_digits
+        addends = tuple(sorted([z // place % b * unit for place, unit in places]))
+        return DecompositionWitness(z, addends, addends, (), (), ())
 
     s, r = divmod(z, q)
-    c = result.y_first[r]
+    c = result.y_first.item(r)
     if c == len(result.y_combos):
         raise DecompositionError(f"no family combo lifts r={r} into H, so z={z} (s={s}) fails")
-    y_sum, y_parts = result.y_combos[c]
-    h_bits = result.b_layers[h_a]
-    x = (r - y_sum) % q
-    while not (h_bits >> x) & 1:
-        x += q
-    from_b = backtrack_witness(result.b_layers, result.comp_b, h_a, x)
-    from_d = _digit_terms(s - (x + y_sum - r) // q, p, a - k, p ** (h_a + k))
-    addends = tuple(sorted(from_b + y_parts + from_d))
-    if sum(addends) != z or len(addends) != h:
+    y, from_c = result.y_combos[c]
+    x, from_b = result.lifts[(r - y) % q]
+    v = s - (x + y - r) // q  # written in base p on D's places
+    p, places = result.d_digits
+    from_d = tuple([v // place % p * unit for place, unit in places])
+    addends = tuple(sorted(from_b + from_c + from_d))
+    if sum(addends) != z or len(addends) != plan.h:
         raise AssertionError("decomposition arithmetic failed")
-    return DecompositionWitness(z=z, addends=addends, from_a=(),
-                                from_b=from_b, from_c=tuple(sorted(y_parts)),
-                                from_d=from_d)
+    return DecompositionWitness(z, addends, (), from_b, from_c, from_d)

@@ -323,6 +323,14 @@ class TestSearchAndTable:
             assert run_cli(argv) == (2, ""), argv
             assert "node_budget >= 1" in capsys.readouterr().err, argv
 
+    def test_search_budget_below_one_exit_2_on_both_paths(self, capsys):
+        # the oracle ignores the budget but wrote it to its manifest, exit 0
+        for path in ([], ["--oracle"]):
+            for budget in ("-1", "0"):
+                argv = ["search", "--h", "2", "--k", "3", "--budget", budget, *path]
+                assert run_cli(argv) == (2, ""), argv
+                assert "error: need node_budget >= 1" in capsys.readouterr().err, argv
+
     def test_search_oracle(self):
         code, out = run_cli(["search", "--h", "2", "--k", "3", "--oracle"])
         assert code == 0

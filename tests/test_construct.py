@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 
 from hbasis import construct
-from hbasis.arith import MAX_BYTES, GuardError, next_prime_at_least
+from hbasis.arith import MAX_BYTES, GuardError, bits_to_sorted, next_prime_at_least
 from hbasis.construct import (DecompositionError, InfeasibleParameters,
                               build_theorem1, decompose, digit_basis,
                               plan_params, tau)
 from hbasis.cover import gains_bytes
 from hbasis.sidon import bose_chowla
-from hbasis.sumset import BasisSet, coverage_layers, layers_bytes, n_of, verify_basis
+from hbasis.sumset import (BasisSet, backtrack_witness, coverage_layers, layers_bytes,
+                           n_of, verify_basis)
 
 
 class TestTau:
@@ -117,6 +119,25 @@ class TestPlanBudget:
             tracemalloc.stop()
         # the model that plan_params checks, from p' alone: B lies below p'**(h-a)
         assert peak <= layers_bytes(h_a, h_a * plan.p_prime ** h_a) <= 2 * peak
+
+    @pytest.mark.parametrize("n,h", [(10 ** 7, 3), (10 ** 7, 4)])
+    def test_lift_table_model_bounds_measured_peak(self, n, h):
+        # 47,278 and 3,486 entries, B_2 sets of 307 and 83 elements
+        plan = plan_params(n, h)
+        h_a = plan.h - plan.a
+        b_elems = bose_chowla(plan.p_prime, h_a).elements
+        tracemalloc.start()
+        try:
+            construct._lift_table(b_elems, h_a, plan.q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= construct._lifts_bytes(plan.q, plan.p_prime, h_a) <= 2 * peak
+
+    def test_lift_table_over_budget_refused_before_build(self, monkeypatch):
+        monkeypatch.setattr(construct, "_lifts_bytes", lambda q, p_prime, h_a: MAX_BYTES + 1)
+        with pytest.raises(GuardError, match="lift table"):
+            plan_params(10 ** 5, 4)
 
 
 class TestPinnedPlans:
@@ -225,7 +246,9 @@ class TestBuildTheorem1:
         plan = plan_params(10 ** 4, 3, 1, 2)
         res = build_theorem1(plan)
         text = repr(res)
-        assert all(name not in text for name in ("b_layers", "y_combos", "y_first"))
+        names = ("y_combos", "y_first", "lifts", "a_digits", "d_digits")
+        assert all(name not in text for name in names)
+        assert {f.name for f in dataclasses.fields(res) if not f.compare} == set(names)
         assert build_theorem1(plan) == res
 
     # (n, h, k, a): multi-lift (max H >= q), a perfect power that failed at
@@ -236,16 +259,38 @@ class TestBuildTheorem1:
     @pytest.mark.parametrize("n,h,k,a", START_PLANS)
     def test_scan_start_is_first_liftable_combo(self, n, h, k, a):
         res = build_theorem1(plan_params(n, h, k, a))
-        q, combos = res.plan.q, res.y_combos
-        h_bits = res.b_layers[res.plan.h - res.plan.a]
-        # H mod q from H itself: every x <= max(H) set in H's mask
+        q, h_a, combos = res.plan.q, res.plan.h - res.plan.a, res.y_combos
+        # H from B's own layers: every x <= max(H) set in H's mask
+        h_bits = coverage_layers(BasisSet(res.comp_b), h_a, h_a * res.comp_b[-1])[h_a]
         h_res = {x % q for x in range(h_bits.bit_length()) if (h_bits >> x) & 1}
         oracle = [next((c for c, (y, _) in enumerate(combos) if (r - y) % q in h_res),
                        len(combos)) for r in range(q)]
-        assert list(combos) == sorted(combos)
+        # one shift per family, in (sum, family-order parts) order, parts stored sorted
+        shifts = itertools.product(*(X.members for X in res.complement.families))
+        assert list(combos) == [(y, tuple(sorted(parts)))
+                                for y, parts in sorted((sum(t), t) for t in shifts)]
         assert res.y_first.dtype == np.int32 and res.y_first.shape == (q,)
         assert not res.y_first.flags.writeable
         assert res.y_first.tolist() == oracle
+
+    @pytest.mark.parametrize("n,h,k,a", START_PLANS + ((10 ** 8, 12, None, None),))
+    def test_lift_table_matches_layer_backtracking(self, n, h, k, a):
+        # h - a is 1 on three START_PLANS, 2 on the other two, and 3 at
+        # (1e8, 12): 11 elements of B, 286 sums
+        res = build_theorem1(plan_params(n, h, k, a))
+        q, h_a = res.plan.q, res.plan.h - res.plan.a
+        layers = coverage_layers(BasisSet(res.comp_b), h_a, h_a * res.comp_b[-1])
+        least = {}
+        for x in reversed(bits_to_sorted(layers[h_a])):
+            least[x % q] = x
+        assert res.lifts.keys() == least.keys()
+        for r, (x, parts) in res.lifts.items():
+            assert x == least[r]
+            assert parts == backtrack_witness(layers, res.comp_b, h_a, x)
+
+    def test_lift_table_h_a_3(self):
+        res = build_theorem1(plan_params(10 ** 8, 12))
+        assert (res.plan.h - res.plan.a, len(res.comp_b), len(res.lifts)) == (3, 11, 286)
 
     def test_verification_is_exhaustive(self):
         plan = plan_params(2000, 3, 1, 2)

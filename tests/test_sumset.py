@@ -92,7 +92,7 @@ class TestCoverage:
     @given(small_basis, st.integers(1, 5), st.integers(0, 120))
     @settings(max_examples=150, deadline=None)
     def test_every_layer_matches_brute_enumeration(self, A, h, limit):
-        # decompose's backtracking reads the lower layers, not only the top
+        # backtrack_witness reads the lower layers, not only the top
         layers = coverage_layers(A, h, limit)
         assert len(layers) == h + 1 and layers[0] == 1
         for i in range(1, h + 1):
