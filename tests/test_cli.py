@@ -324,7 +324,7 @@ class TestSearchAndTable:
             assert "node_budget >= 1" in capsys.readouterr().err, argv
 
     def test_search_budget_below_one_exit_2_on_both_paths(self, capsys):
-        # the oracle ignores the budget but wrote it to its manifest, exit 0
+        # the oracle path does not search, but its manifest records the budget
         for path in ([], ["--oracle"]):
             for budget in ("-1", "0"):
                 argv = ["search", "--h", "2", "--k", "3", "--budget", budget, *path]
