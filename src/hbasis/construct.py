@@ -299,8 +299,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                                   for j in range(1, p)
                                   for i in range(h_a + k, h)}))
 
-    b = iroot_ceil(h * q + 1, h)
-    a_set = digit_basis(b, h)
+    a_base = iroot_ceil(h * q + 1, h)
+    a_set = digit_basis(a_base, h)
 
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
@@ -329,7 +329,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               first_gap=cert.first_gap,
                               y_combos=tuple((s, tuple(sorted(parts))) for s, parts in combos),
                               y_first=y_first, lifts=MappingProxyType(lifts),
-                              a_digits=(b, tuple((b ** i, b ** i) for i in range(h))),
+                              a_digits=(a_base, tuple((a_base ** i, a_base ** i)
+                                                      for i in range(h))),
                               d_digits=(p, tuple((p ** i, p ** (h_a + k + i))
                                                  for i in range(a - k))))
 
@@ -342,6 +343,12 @@ class DecompositionWitness:
     from_b: tuple[int, ...]
     from_c: tuple[int, ...]
     from_d: tuple[int, ...]
+
+
+def _digit_terms(v: int, digits: tuple[int, tuple[tuple[int, int], ...]]) -> list[int]:
+    """d_i * unit_i for the digits d_i = v // place_i % base of v, lowest first."""
+    base, places = digits
+    return [v // place % base * unit for place, unit in places]
 
 
 def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
@@ -366,8 +373,7 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
     q = plan.q
 
     if z < plan.h * q:
-        b, places = result.a_digits
-        addends = tuple(sorted([z // place % b * unit for place, unit in places]))
+        addends = tuple(sorted(_digit_terms(z, result.a_digits)))
         return DecompositionWitness(z, addends, addends, (), (), ())
 
     s, r = divmod(z, q)
@@ -376,9 +382,7 @@ def decompose(z: int, result: ConstructionResult) -> DecompositionWitness:
         raise DecompositionError(f"no family combo lifts r={r} into H, so z={z} (s={s}) fails")
     y, from_c = result.y_combos[c]
     x, from_b = result.lifts[(r - y) % q]
-    v = s - (x + y - r) // q  # written in base p on D's places
-    p, places = result.d_digits
-    from_d = tuple([v // place % p * unit for place, unit in places])
+    from_d = tuple(_digit_terms(s - (x + y - r) // q, result.d_digits))
     addends = tuple(sorted(from_b + from_c + from_d))
     if sum(addends) != z or len(addends) != plan.h:
         raise AssertionError("decomposition arithmetic failed")
