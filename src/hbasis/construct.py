@@ -261,8 +261,8 @@ def digit_basis(b: int, h: int) -> BasisSet:
 
 
 def _lift_table(b_elems: tuple[int, ...], h_a: int, q: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """{x mod q: (x, parts)} over the multisets `parts` of h_a elements of B, sorted,
-    x = sum(parts) the least such sum in its residue class."""
+    """{x mod q: (x, parts)}: parts an ascending multiset of h_a elements of B (given
+    ascending), x = sum(parts) the least such sum in its residue class."""
     lifts = {}
     for parts in combinations_with_replacement(b_elems, h_a):
         x = sum(parts)
