@@ -7,8 +7,9 @@ masks lives here: building a mask, unpacking it to a numpy bool array
 [0, limit] window and its lowest clear bit, rotation in Z_q, and folding
 [0, limit] into Z_q.  One memory budget, MAX_BYTES, bounds every
 exhaustive routine: each compares its peak model (`sumset.layers_bytes`,
-`cover.gains_bytes`) with it through `check_bytes` before it allocates, and
-`window` keeps a backstop, a mask over [0, limit].  No guard allocates.
+`sumset.verify_bytes`, `cover.gains_bytes`) with it through `check_bytes`
+before it allocates, and `window` keeps a backstop, a mask over
+[0, limit].  No guard allocates.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from math import ceil, floor, log2
 import numpy as np
 
 # 2 GiB: above every benchmarked and pinned instance (verify at h = 6,
-# n = 22**6 - 1 models ~136 MB) and below the gains model at q = 2**26 + 1
-# (~2.28e9 bytes), so no gains pass runs on more than 2**26 points
+# n = 22**6 - 1 models ~104 MB, ~136 MB in plan_params' guard) and below
+# the gains model at q = 2**26 + 1 (~2.28e9 bytes), so no gains pass runs
+# on more than 2**26 points
 MAX_BYTES = 1 << 31
 
 

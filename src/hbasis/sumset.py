@@ -3,13 +3,16 @@
 Coverage is a dense bitmask from the `arith` bitset kernel, built by one
 recurrence, `_grow`: the j-sums S_j of the elements taken so far (S_0 = 1)
 grow by each element e, S_j |= S_{j-1} << e for j = 1..h ascending, so
-S_{j-1} already holds e (repetition allowed).  An operand longer than
-[0, limit - e] is clipped first; that is sound because every element is
-non-negative.  `coverage_layers` grows full layers by this step: B's
-layers in `construct.build_theorem1`, and the tests' reference.
+S_{j-1} already holds e (repetition allowed).  Each layer S_j has a cap
+c_j, the largest sum it must hold, and takes no bit of S_{j-1} past
+c_j - e; that is sound because every element is non-negative.
+`coverage_layers` gives every layer the cap limit and so grows full layers:
+B's layers in `construct.build_theorem1`, and the tests' reference.
 `_first_gap` (and so `verify_basis` and `n_of`) grows only the bits a later
-element can still read: S_1..S_{h-1} by this step with limit n - e, and
-S_h, which is only checked, above the prefix already checked.
+element can still read: S_j, for j < h, up to n - (h - j) e, as h - j more
+elements, each >= e, must follow, and S_h, which is only checked, above the
+prefix already checked.  Each has its own peak model: `layers_bytes` and
+`verify_bytes`.
 `search.extremal_n` inlines the same recurrence on purpose: a `_grow` call
 per child made the benchmark's search ladder, (h, k) = (2, 11) (3, 8)
 (4, 7) (6, 6), slower in 6 of 6 alternating runs (median 0.77 s inline
@@ -21,7 +24,7 @@ are rotations of that mask.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .arith import (bits_to_sorted, check_bytes, lowest_clear, mask_bytes,
@@ -103,30 +106,75 @@ class Certificate:
     first_gap: int | None = None
 
 
-def _grow(S: list[int], e: int, limit: int) -> None:
-    """Add element e to the layer list S = [S_0, ..., S_h] in place.
+def _grow(S: list[int], e: int, cap: int, step: int) -> None:
+    """Add element e to the layer list S = [S_0, ..., S_m] in place.
 
-    S_j |= S_{j-1} << e for j = 1..h ascending.  An operand is clipped to
-    [0, limit - e] only when it is longer, so no layer grows past limit;
-    the clip mask is built at the first such operand and lives for one call.
+    S_j needs only its sums in [0, c_j], with c_j = cap - (m - j) step and
+    0 <= step <= e: one cap for every layer at step 0, falling by step per
+    layer below S_m otherwise.  For j = 1..m ascending, so that S_{j-1}
+    already holds e (repetition allowed), S_j |= S_{j-1} << e takes only
+    S_{j-1}'s bits in [0, c_j - e]; a layer with c_j < e does not grow.  At
+    step < e that range is narrower than c_{j-1}, so the operand is clipped
+    to it and S_j gets no bit past c_j; the clip mask is built at the first
+    such operand and shared by the layers with the same range.  At step = e
+    the range is c_{j-1} itself: S_{j-1}'s bits past it make only bits of S_j
+    past c_j, which are dead too, so S_{j-1} is cut to its cap, in place,
+    only once it is more than a quarter past it (`_trim`).
     """
-    room = limit - e
-    clip = None
-    for j in range(1, len(S)):
-        src = S[j - 1]
-        if src.bit_length() > room + 1:
-            if clip is None:
-                clip = window(room)
-            src &= clip
+    m = len(S) - 1
+    first = m - (cap - e) // step if step else 1  # least j with c_j >= e
+    clip_room = clip = None
+    for j in range(max(first, 1), m + 1):
+        room = cap - (m - j) * step - e
+        if step == e:
+            src = _trim(S, j - 1, room)
+        else:
+            src = S[j - 1]
+            if src.bit_length() > room + 1:
+                if room != clip_room:
+                    clip_room, clip = room, window(room)
+                src &= clip
         S[j] |= src << e
 
 
+def _trim(S: list[int], j: int, cap: int) -> int:
+    """S[j], first cut to [0, cap] in place if it is more than a quarter past cap."""
+    if S[j].bit_length() > cap + 1 + (cap + 1) // 4:
+        S[j] &= window(cap)
+    return S[j]
+
+
 def layers_bytes(h: int, limit: int) -> int:
-    """Peak bytes of h + 1 layers over [0, limit] grown by `_grow`: at most h + 3 masks (layer i
-    holds min(i e, limit) bits while e is added), plus ~40 bytes per layer.  This models the
-    peak of `coverage_layers`; for `verify_basis` and `n_of` it is an upper bound (digit bases
-    at n = 2e6 and 8e6 peak at 3.0 masks at h = 2 up to 12.3 at h = 12, against h + 3)."""
+    """Peak bytes of `coverage_layers`' h + 1 layers over [0, limit]: at most h + 3 masks (layer
+    i holds min(i e, limit) bits while e is added), plus ~40 bytes per layer.  `plan_params`
+    also refuses a verify by it: from 16 KiB up it is at least `verify_bytes`."""
     return (h + 3) * mask_bytes(limit) + 40 * (h + 1)
+
+
+def verify_bytes(h: int, n: int) -> int:
+    """Peak bytes of `_first_gap` over [0, n] at h: an upper bound, used to refuse.
+
+    The layer list is 8 bytes per layer, and a layer that never grows holds
+    a cached small int.  S_j grows at some element e >= 1 only if
+    (h - j + 1) e <= n, so only g = min(h, n) - 1 of S_1..S_{h-1} grow, those
+    with j >= h - g; each costs an int header (32 bytes with its rounding)
+    and its bits.  A bit enters S_j with some element e, as a sum of j
+    elements <= e, from an operand at most a quarter past its cap, so it lies
+    below min(j e + 1, 5/4 (n + 1 - (h - j) e)) <= 5 j (n + 1) / (4 h) + 1:
+    the first term while e <= 5 (n + 1) / (4 h), the second past it.  Summed
+    over the growing layers that is 5 g (2h - g - 1) / (8h) masks over
+    [0, n].  S_{h-1} is at most a quarter past n - e, so top stays below
+    5/4 (n + 1) bits, and at most two more ints of that size live beside it:
+    a shifted operand and its OR, a trim mask and the cut layer, or
+    `lowest_clear`'s two.  That is 15/4 masks, and 1 KiB covers the small
+    objects of the call.  Digit bases at n = 2e6 peak at 2.7 masks (h = 2),
+    4.0 (h = 6) and 8.0 (h = 12), against 4.4, 6.9 and 10.6 here; see
+    `layers_bytes` for `coverage_layers`.
+    """
+    g = max(min(h, n) - 1, 0)
+    mask = mask_bytes(n)
+    return (8 * h + 32 * g - 5 * g * (2 * h - g - 1) * mask // -(8 * h)
+            - 15 * mask // -4 + 1024)
 
 
 def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
@@ -144,7 +192,7 @@ def coverage_layers(A: BasisSet, h: int, limit: int) -> list[int]:
     for e in A.elements:
         if e > limit:
             break
-        _grow(layers, e, limit)
+        _grow(layers, e, limit, 0)
     return layers
 
 
@@ -181,30 +229,34 @@ def _first_gap(elements: tuple[int, ...], h: int, n: int):
 
     The elements are added one at a time in ascending order, and only bits a
     later step can still read are grown.  S_1..S_{h-1} are read only as shift
-    sources for the current element e or a later one, so only their bits in
-    [0, n - e] matter: they grow by `_grow` with limit n - e, and not at all
-    once 2e > n.  S_h is only checked.  It is held as top = S_h >> o, where
-    every z < o is already checked covered, and grows by
-    (S_{h-1} & [0, n - e]) << (e - o), as e >= o.  After element e_i no later
-    sum can fall below e_{i+1}, so the bits of S_h below it are final; they are
-    checked on a doubling schedule (O(n) bits in total), the first gap found
-    is the least one, and a covered prefix is shifted out of top.
+    sources: a sum in S_j reaches S_h only through h - j more elements, each
+    at least the current element e, so only S_j's bits in
+    [0, n - (h - j) e] are live.  They grow by `_grow` with those caps, and
+    S_j not at all once (h - j + 1) e > n.  A layer is cut back to its cap
+    only once it is more than a quarter past it (`_trim`): a bit past a cap
+    only makes sums past n, so it cannot change the answer, and the caps
+    only shrink as e grows.  S_h is only checked.  It is held as
+    top = S_h >> o, where every z < o is already checked covered, and grows
+    by S_{h-1} << (e - o), as e >= o; S_{h-1} is trimmed to [0, n - e] by
+    the same rule, so top may hold sums past n, which are never read.  After
+    element e_i no later sum can fall below e_{i+1}, so the bits of S_h below
+    it are final; they are checked on a doubling schedule (O(n) bits in
+    total), the first gap found is the least one, and a covered prefix is
+    shifted out of top.
     """
-    check_bytes(layers_bytes(h, n), f"{h + 1} sum layers over [0, {n}]")
-    elems = [e for e in elements if e <= n]
-    if not elems or elems[0] > 0:
+    check_bytes(verify_bytes(h, n), f"{h + 1} sum layers over [0, {n}]")
+    end = bisect_right(elements, n)
+    if not end or elements[0] > 0:
         return 0  # 0 is a sum of h elements only as 0 + ... + 0
-    low = [1] + [0] * (h - 1)
+    low = [1] * h  # S_0..S_{h-1} once 0, the least element, is added
     top = o = due = 0
-    for i, e in enumerate(elems):
+    for i in range(end):
+        e = elements[i]
         room = n - e
-        if 2 * e <= n:
-            _grow(low, e, room)
-        src = low[-1]
-        if src.bit_length() > room + 1:
-            src &= window(room)
-        top |= src << (e - o)
-        final = elems[i + 1] - 1 if i + 1 < len(elems) else n
+        if e:
+            _grow(low, e, room, e)  # S_j's cap is n - (h - j) e
+        top |= _trim(low, h - 1, room) << (e - o)
+        final = elements[i + 1] - 1 if i + 1 < end else n
         if final >= due:
             gap = lowest_clear(top, final - o)
             if gap is not None:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import random
 import sys
 import time
 import tracemalloc
@@ -81,6 +82,23 @@ class TestVerify:
         _, out = run_cli(["verify", "--h", "2", "--n", "8", "--set", basis_file])
         h, n, elements = read_basis_document(out)
         assert (h, n, elements) == (2, 8, (0, 1, 3, 4))
+
+    def test_digit_basis_claims_at_h6(self, tmp_path):
+        # the digit basis {j 22^i} at h = 6, n = 22^6 - 1, plus 8 seeded
+        # extras below 22^5; with element 1 dropped the least gap is 1
+        base, h = 22, 6
+        elements = {j * base ** i for j in range(base) for i in range(h)}
+        rng, digits = random.Random(11), len(elements)
+        while len(elements) < digits + 8:
+            elements.add(rng.randrange(2, base ** (h - 1)))
+        for drop, code, lines in ((set(), 0, ["ok = true"]),
+                                  ({1}, 1, ["ok = false", "first_gap = 1"])):
+            path = tmp_path / f"claim{len(drop)}.txt"
+            path.write_text(f"h = {h}\nn = {base ** h - 1}\nelements = "
+                            + " ".join(map(str, sorted(elements - drop))) + "\n")
+            got, out = run_cli(["verify", "--set", str(path)])
+            assert got == code
+            assert all(line in out.splitlines() for line in lines), out
 
 
 class TestConstruct:

@@ -14,7 +14,7 @@ from hbasis.arith import (MAX_BYTES, GuardError, bits_to_sorted, iroot_ceil,
 from hbasis.construct import digit_basis
 from hbasis.sumset import (BasisSet, Certificate, ResidueSet, backtrack_witness,
                            coverage_layers, layers_bytes, n_of, residue_sumset,
-                           verify_basis)
+                           verify_basis, verify_bytes)
 
 
 def brute_coverage(elements, h, limit):
@@ -216,7 +216,7 @@ class TestVerify:
 
 def full_layers_gap(A, h, n):
     """Least z in [0, n] outside hA, read off `coverage_layers`, which keeps
-    every layer over [0, n]: no cap at n - e and no offset on the top layer."""
+    every layer over [0, n]: no per-layer cap and no offset on the top layer."""
     return lowest_clear(coverage_layers(A, h, n)[h], n)
 
 
@@ -237,8 +237,9 @@ def perturbed_digit_bases(count, seed):
 
 
 class TestFirstGapAgainstFullLayers:
-    """`verify_basis` and `n_of` grow the lower layers only over [0, n - e]
-    and hold the top layer above its checked prefix; full layers must agree."""
+    """`verify_basis` and `n_of` grow each lower layer S_j only over
+    [0, n - (h - j) e] and hold the top layer above its checked prefix; full
+    layers must agree."""
 
     def test_perturbed_digit_bases(self):
         outcomes = {True: 0, False: 0}
@@ -280,6 +281,29 @@ class TestFirstGapAgainstFullLayers:
         assert verify_basis(A, h, 9) == Certificate(gap is None, gap)
         assert verify_basis(BasisSet((0, 1, 2, 3, 4)), 2, 9).first_gap == 9
 
+    @pytest.mark.parametrize("h", [3, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_each_layer_last_growth(self, h, m):
+        # S_j grows with e only while (h - j + 1) e <= n.  At n = (h - j + 1) m
+        # the element m = n / (h - j + 1) is the last to grow S_j (j = 1: n = h m,
+        # m = n / h), and in {0..m-1, m+1} the element m + 1 is just past it
+        for A in (BasisSet(tuple(range(m + 1))), BasisSet(tuple(range(m)) + (m + 1,))):
+            for j in range(1, h):
+                for n in ((h - j + 1) * m - 1, (h - j + 1) * m, (h - j + 1) * m + 1):
+                    gap = full_layers_gap(A, h, n)
+                    assert verify_basis(A, h, n) == Certificate(gap is None, gap), (A, j, n)
+            assert verify_basis(BasisSet(tuple(range(m + 1))), h, h * m).ok
+            top_gap = full_layers_gap(A, h, h * A.max)
+            assert n_of(A, h) == (h * A.max if top_gap is None else top_gap - 1)
+
+    @pytest.mark.parametrize("h", [9, 12])
+    def test_more_layers_than_n(self, h):
+        # h > n: S_j with h - j + 1 > n never grows, so it stays {0}
+        for A in (BasisSet((0, 1, 3, 4)), BasisSet((0, 2, 3)), BasisSet((0, 1, 2))):
+            for n in range(h):
+                gap = full_layers_gap(A, h, n)
+                assert verify_basis(A, h, n) == Certificate(gap is None, gap), (A, n)
+
     def test_h_one(self):
         assert verify_basis(BasisSet((0, 1, 2, 3)), 1, 3).ok
         assert verify_basis(BasisSet((0, 1, 2, 3)), 1, 4).first_gap == 4
@@ -315,42 +339,64 @@ def traced_peak(fn, *args):
 
 
 class TestLayersModel:
+    """`layers_bytes` models `coverage_layers` and `verify_bytes` models
+    `verify_basis`: each must bound the measured peak and lie within 2x of it."""
+
+    MODELS = ((verify_basis, verify_bytes), (coverage_layers, layers_bytes))
+
     @pytest.mark.parametrize("h", [2, 6, 12])
     def test_bounds_measured_peak(self, h):
         n = 2 * 10 ** 6
         A = digit_basis(iroot_ceil(n + 1, h), h)
-        for fn in (verify_basis, coverage_layers):
+        for fn, model in self.MODELS:
             peak = traced_peak(fn, A, h, n)
-            assert peak <= layers_bytes(h, n) <= 2 * peak, fn.__name__
+            assert peak <= model(h, n) <= 2 * peak, fn.__name__
+
+    def test_verify_model_over_a_longer_range(self):
+        h, n = 6, 8 * 10 ** 6
+        A = digit_basis(iroot_ceil(n + 1, h), h)
+        peak = traced_peak(verify_basis, A, h, n)
+        assert peak <= verify_bytes(h, n) <= 2 * peak
 
     def test_many_layers_over_a_short_range(self):
-        # each layer is a list slot and a small int.  At n = 8, verify caps
-        # its lower layers at n - e <= 7 bits, values CPython keeps cached,
-        # so its peak is the list alone and only the upper bound holds; at
-        # n = 16 every element is still <= n / 2 and the capped layers are
-        # real ints
+        # each layer is a list slot and an int.  coverage_layers keeps 1e5
+        # full layers over [0, n]; verify grows S_j only while
+        # (h - j + 1) e <= n, so at most n - 1 of its lower layers ever leave
+        # the cached small int 1, and its peak is the list
         h = 10 ** 5
         A = BasisSet((0, 1, 3, 4))
         for n in (8, 16):
-            for fn in (verify_basis, coverage_layers):
+            for fn, model in self.MODELS:
                 peak = traced_peak(fn, A, h, n)
-                assert peak <= layers_bytes(h, n), (fn.__name__, n)
-                if fn is coverage_layers or n == 16:
-                    assert layers_bytes(h, n) <= 2 * peak, (fn.__name__, n)
+                assert peak <= model(h, n) <= 2 * peak, (fn.__name__, n)
+
+    def test_plan_guard_covers_verify(self):
+        # plan_params refuses verify by layers_bytes, so it must admit no plan
+        # whose verify its own model would refuse.  Below 16 KiB, verify_bytes'
+        # 1 KiB of small objects, which layers_bytes leaves out, can be more
+        ns = [2 ** k - 1 + d for k in range(1, 41) for d in (0, 1)]
+        ns += [10 ** 6, 2 * 10 ** 6, 22 ** 6 - 1, 10 ** 8, 3 * 10 ** 9]
+        for h in list(range(1, 31)) + [64, 10 ** 3, 10 ** 5, 10 ** 9]:
+            for n in ns:
+                if layers_bytes(h, n) >= 16 * 1024:
+                    assert layers_bytes(h, n) >= verify_bytes(h, n), (h, n)
 
     def test_verify_peaks_below_full_layers(self):
-        # the cap at n - e and the offset top layer are in effect
-        h, n = 6, 2 * 10 ** 6
-        A = digit_basis(iroot_ceil(n + 1, h), h)
-        capped = traced_peak(verify_basis, A, h, n)
-        full = traced_peak(coverage_layers, A, h, n)
-        assert capped < 0.8 * full, (capped, full)
+        # each lower layer capped at n - (h - j) e, and the offset top layer
+        n = 2 * 10 ** 6
+        for h in (6, 12):
+            A = digit_basis(iroot_ceil(n + 1, h), h)
+            capped = traced_peak(verify_basis, A, h, n)
+            full = traced_peak(coverage_layers, A, h, n)
+            assert capped < 0.65 * full, (h, capped, full)
 
     def test_over_budget_refused_before_allocation(self):
-        # 13 layers over [0, 2**32 - 1] model ~8.6 GB; 1e9 layers over [0, 8] ~44 GB
+        # 13 layers over [0, 2**32 - 1] model ~8.6 GB (verify ~6.1 GB);
+        # 1e9 layers over [0, 8] ~44 GB (verify's layer list alone 8 GB)
         A = BasisSet((0, 1, 3, 4))
         for h, n in ((12, 2 ** 32 - 1), (10 ** 9, 8)):
             assert layers_bytes(h, n) > MAX_BYTES
+            assert verify_bytes(h, n) > MAX_BYTES
             for fn in (verify_basis, coverage_layers):
                 with pytest.raises(GuardError):
                     traced_peak(fn, A, h, n)
