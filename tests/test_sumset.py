@@ -287,12 +287,12 @@ class TestFirstGapAgainstFullLayers:
         # S_j grows with e only while (h - j + 1) e <= n.  At n = (h - j + 1) m
         # the element m = n / (h - j + 1) is the last to grow S_j (j = 1: n = h m,
         # m = n / h), and in {0..m-1, m+1} the element m + 1 is just past it
+        assert verify_basis(BasisSet(tuple(range(m + 1))), h, h * m).ok
         for A in (BasisSet(tuple(range(m + 1))), BasisSet(tuple(range(m)) + (m + 1,))):
             for j in range(1, h):
                 for n in ((h - j + 1) * m - 1, (h - j + 1) * m, (h - j + 1) * m + 1):
                     gap = full_layers_gap(A, h, n)
                     assert verify_basis(A, h, n) == Certificate(gap is None, gap), (A, j, n)
-            assert verify_basis(BasisSet(tuple(range(m + 1))), h, h * m).ok
             top_gap = full_layers_gap(A, h, h * A.max)
             assert n_of(A, h) == (h * A.max if top_gap is None else top_gap - 1)
 
