@@ -31,10 +31,11 @@ the same Z_q.
 
 The lift table maps each residue class of H mod q to the least x in H in
 that class and its B-multiset.  B is a B_{h-a} set (Bose-Chowla), so each
-x in H is the sum of exactly one multiset of h-a elements of B, and the
-table is filled by one walk over those multisets; the build checks that
-their sums are distinct.  `_lifts_bytes` models it, and plan_params checks
-the model beside B's layers before anything is built.
+x in H is the sum of exactly one multiset of h-a elements of B (checked by
+`sidon.is_bk`).  The table is filled by one walk over those multisets before
+the greedy, and H mod q, the greedy's base and the residues y_first shifts, is
+read off its keys.  `_lifts_bytes` models it, and plan_params checks the model
+beside B's layers before anything is built.
 
 Every plan carries the invariant decompose relies on: p^h > n, and the
 headroom of `_headroom` (h*q > n, or (h-a) max(B) + k(q-1) < h*q).  So
@@ -52,12 +53,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .arith import (bits_to_sorted, check_bytes, fold, iroot_ceil,
-                    next_prime_at_least, to_bools)
+from .arith import bits_to_sorted, check_bytes, iroot_ceil, next_prime_at_least
 from .cover import ComplementFamily, complement_size_bound, gains_bytes, k_complement
-from .sidon import bose_chowla
-# backtrack_witness stays bound here for perfbench's tracer; decompose reads
-# the lift table instead
+from .sidon import bose_chowla, is_bk
+# backtrack_witness and coverage_layers stay bound here for perfbench's
+# tracer; decompose reads the lift table, and is_bk checks B
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,  # noqa: F401
                      coverage_layers, layers_bytes, verify_basis)
 
@@ -285,14 +285,11 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
         b_elems = tuple(range(plan.p_prime))
     else:
         b_elems = bose_chowla(plan.p_prime, h_a).elements
-
-    b_set = BasisSet(b_elems)
-    limit_h = h_a * b_set.max
-    h_bits = coverage_layers(b_set, h_a, limit_h)[h_a]
-    if h_bits.bit_count() != comb(len(b_elems) + h_a - 1, h_a):
+    if not is_bk(b_elems, h_a):
         raise AssertionError("B is not a B_{h-a} set: two multisets share a sum")
 
-    complement = k_complement(ResidueSet(q, fold(h_bits, limit_h, q)), k)
+    lifts = _lift_table(b_elems, h_a, q)
+    complement = k_complement(ResidueSet.from_iterable(q, lifts), k)
     c_elems = bits_to_sorted(complement.union.bits)
 
     d_elems = tuple(sorted({0} | {j * p ** i
@@ -305,8 +302,6 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
 
-    # filled after the greedy and the verify, so that it does not add to their peak
-    lifts = _lift_table(b_elems, h_a, q)
     # all (sum, parts) combos drawing one shift from each family, sorted
     combos = [(0, ())]
     for X in complement.families:
@@ -315,7 +310,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     combos.sort()
     # H mod q repeats no residue, so each assignment hits distinct indices;
     # walking the combos in reverse leaves the least c per residue
-    h_res = np.flatnonzero(to_bools(complement.base.bits, q))
+    h_res = np.fromiter(lifts, np.int64, len(lifts))
     y_first = np.full(q, len(combos), np.int32)
     for c in range(len(combos) - 1, -1, -1):
         y_first[(h_res + combos[c][0]) % q] = c

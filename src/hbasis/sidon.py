@@ -20,9 +20,11 @@ Field elements are length-k coefficient tuples, constant term first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
+from math import comb
 
-from .arith import is_prime, prime_factors
+from .arith import fold, is_prime, prime_factors
+from .sumset import BasisSet, coverage_layers
 
 
 @dataclass(frozen=True)
@@ -103,20 +105,20 @@ def bose_chowla(p: int, k: int) -> SidonSet:
 
 
 def is_bk(S, k: int, modulus: int | None = None) -> bool:
-    """True iff all k-element multiset sums of S are pairwise distinct.
+    """True iff the C(|S| + k - 1, k) k-multisets of S, repeats kept (so a repeat
+    answers False), have distinct sums, or distinct residues mod modulus.
 
-    Exhaustive over all C(|S|+k-1, k) multisets; sums reduced mod modulus
-    when given.
+    S is reduced mod modulus and translated to start at 0, which keeps those
+    sums apart or together; the popcount of its top `coverage_layers` layer,
+    folded into Z_modulus, then counts them.  Peak `layers_bytes(k, k max S)`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    elems = sorted(S)
-    sums = set()
-    for combo in combinations_with_replacement(elems, k):
-        s = sum(combo)
-        if modulus is not None:
-            s %= modulus
-        if s in sums:
-            return False
-        sums.add(s)
-    return True
+    if k < 1 or (modulus is not None and modulus < 1):
+        raise ValueError("need k >= 1 and modulus >= 1")
+    elems = sorted(S if modulus is None else (e % modulus for e in S))
+    if not elems:
+        return True
+    low, limit = elems[0], k * (elems[-1] - elems[0])
+    top = coverage_layers(BasisSet.from_iterable(e - low for e in elems), k, limit)[k]
+    if modulus is not None and modulus <= limit:
+        top = fold(top, limit, modulus)
+    return top.bit_count() == comb(len(elems) + k - 1, k)
