@@ -25,7 +25,7 @@ from .construct import build_theorem1, plan_params
 from .cover import complement_size_bound, gains_bytes, k_complement
 from .search import BudgetExhausted, extremal_n, oracle_exhaustive
 from .sidon import bose_chowla, is_bk
-from .sumset import BasisSet, ResidueSet, verify_basis
+from .sumset import BasisSet, ResidueSet, layers_bytes, verify_basis
 
 
 def _document(subcommand: str, params: dict, outcome: int, data: list) -> tuple[int, str]:
@@ -97,6 +97,10 @@ def _cmd_construct(args) -> tuple[int, str]:
 
 
 def _cmd_sidon(args) -> tuple[int, str]:
+    if args.k >= 2:  # bose_chowla refuses smaller k
+        # is_bk's layers, as B lies below p^k - 1; refused before the field walk
+        check_bytes(layers_bytes(args.k, args.k * (args.p ** args.k - 2)),
+                    f"the B_{args.k} check at p = {args.p}")
     sidon = bose_chowla(args.p, args.k)
     spec = sidon.field
     ok_mod = is_bk(sidon.elements, args.k, sidon.order_modulus)

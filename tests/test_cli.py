@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import hbasis
-from hbasis import arith, construct, sidon
+from hbasis import arith, construct, sidon, sumset
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
@@ -168,6 +168,20 @@ class TestSidon:
         calls.clear()
         assert run_cli(["sidon", "--p", "7", "--k", "2"])[0] == 0
         assert len(calls) == one_search
+
+    def test_check_refused_before_the_walk(self, monkeypatch):
+        # is_bk's layers over [0, 2 (7^2 - 2)]: one byte short is refused with
+        # no field walk, and the model itself is enough
+        calls = []
+        walk = sidon._power_walk
+        monkeypatch.setattr(sidon, "_power_walk", lambda *args: calls.append(args) or walk(*args))
+        need = sumset.layers_bytes(2, 2 * (7 ** 2 - 2))
+        monkeypatch.setattr(arith, "MAX_BYTES", need - 1)
+        assert run_cli(["sidon", "--p", "7", "--k", "2"]) == (3, "")
+        assert calls == []
+        monkeypatch.setattr(arith, "MAX_BYTES", need)
+        assert run_cli(["sidon", "--p", "7", "--k", "2"])[0] == 0
+        assert calls
 
     def test_provenance_and_status(self):
         code, out = run_cli(["sidon", "--p", "3", "--k", "2"])

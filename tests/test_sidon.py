@@ -179,7 +179,7 @@ class TestIsBk:
                 is_bk({0, 1}, 2, m)
 
     def test_wide_set_small_modulus(self):
-        # the fold into Z_3 of sums up to 2e7 is linear in the mask
+        # reduced mod 3 first, so no layer spans the set's width of 1e7
         assert is_bk((0, 10 ** 7), 1, 3)
         assert not is_bk((0, 10 ** 7 - 1), 1, 3)
         assert not is_bk((0, 1, 10 ** 7), 2, 3)
