@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import ceil, comb, exp, factorial, log
+from math import ceil, comb, exp, factorial, log, prod
 from types import MappingProxyType
 
 import numpy as np
@@ -272,10 +272,37 @@ def _lift_table(b_elems: tuple[int, ...], h_a: int, q: int) -> dict[int, tuple[i
     return lifts
 
 
+def _combos_bytes(q: int, sizes: tuple[int, ...]) -> int:
+    """Peak bytes of `_family_combos` over k families of the given sizes in Z_q.
+
+    Each of the prod(sizes) combos is held twice at the end: a (sum, parts)
+    pair in the sorted list, with its list slot and a fresh int for the sum,
+    and its (sum, sorted parts) copy.  Each part is a tuple slot in both, so
+    a combo costs about 240 + 16k bytes; 300 + 16k leaves room for the
+    lists' spare slots.  Decoding a family's members unpacks its mask, at
+    most 9q/8 bytes.  tracemalloc read 253-410 bytes per combo at k = 2..11
+    (60,000 to 1.68M combos), 14-23% under this model.
+    """
+    return prod(sizes) * (300 + 16 * len(sizes)) + 9 * q // 8
+
+
+def _family_combos(families: tuple[ResidueSet, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sum, sorted parts) of every combo of one shift per family, in
+    (sum, family-order parts) order."""
+    combos = [(0, ())]
+    for X in families:
+        members = X.members  # decoded from the mask on every read
+        combos = [(s + x, parts + (x,)) for s, parts in combos for x in members]
+    combos.sort()
+    return tuple((s, tuple(sorted(parts))) for s, parts in combos)
+
+
 def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     """Assemble A, B, C, D per the plan and verify the result exhaustively.
 
     verified holds iff G covers [0, n] and the complement family is complete.
+    The family combos are refused by `_combos_bytes` after the greedy, once
+    their count is known, and before the first is built.
     """
     n, h, p, k, a, q = plan.n, plan.h, plan.p, plan.k, plan.a, plan.q
     h_a = h - a
@@ -290,6 +317,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
 
     lifts = _lift_table(b_elems, h_a, q)
     complement = k_complement(ResidueSet.from_iterable(q, lifts), k)
+    check_bytes(_combos_bytes(q, complement.family_sizes),
+                f"the family combos of sizes {complement.family_sizes}")
     c_elems = bits_to_sorted(complement.union.bits)
 
     d_elems = tuple(sorted({0} | {j * p ** i
@@ -302,18 +331,13 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     basis = BasisSet.from_iterable(a_set.elements + b_elems + c_elems + d_elems)
     cert = verify_basis(basis, h, n)
 
-    # all (sum, parts) combos drawing one shift from each family, sorted
-    combos = [(0, ())]
-    for X in complement.families:
-        members = X.members  # decoded from the mask on every read
-        combos = [(s + x, parts + (x,)) for s, parts in combos for x in members]
-    combos.sort()
+    y_combos = _family_combos(complement.families)
     # H mod q repeats no residue, so each assignment hits distinct indices;
     # walking the combos in reverse leaves the least c per residue
     h_res = np.fromiter(lifts, np.int64, len(lifts))
-    y_first = np.full(q, len(combos), np.int32)
-    for c in range(len(combos) - 1, -1, -1):
-        y_first[(h_res + combos[c][0]) % q] = c
+    y_first = np.full(q, len(y_combos), np.int32)
+    for c in range(len(y_combos) - 1, -1, -1):
+        y_first[(h_res + y_combos[c][0]) % q] = c
     y_first.flags.writeable = False
 
     return ConstructionResult(plan=plan, basis=basis,
@@ -322,8 +346,7 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
                               complement=complement,
                               verified=cert.ok and complement.complete,
                               first_gap=cert.first_gap,
-                              y_combos=tuple((s, tuple(sorted(parts))) for s, parts in combos),
-                              y_first=y_first, lifts=MappingProxyType(lifts),
+                              y_combos=y_combos, y_first=y_first, lifts=MappingProxyType(lifts),
                               a_digits=(a_base, tuple((a_base ** i, a_base ** i)
                                                       for i in range(h))),
                               d_digits=(p, tuple((p ** i, p ** (h_a + k + i))

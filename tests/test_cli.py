@@ -18,6 +18,7 @@ from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
 from hbasis.construct import plan_params
+from hbasis.cover import gains_bytes
 
 
 def run_cli(argv):
@@ -276,6 +277,25 @@ class TestMemoryBudget:
         code, out, peak = traced_cli(["complement", "--k", "1", "--set", str(path)])
         assert (code, out) == (3, "")
         assert peak < 16 * 2 ** 20
+
+    def test_family_combos_refused_before_the_first(self, monkeypatch):
+        # (1e4, 8, 7, 7) builds families of sizes (6, 6, 6, 6, 6, 2, 1): 15,552
+        # combos, whose model is the largest the build checks
+        argv = ["construct", "--n", "10000", "--h", "8", "--k", "7", "--a", "7"]
+        plan = plan_params(10 ** 4, 8, 7, 7)
+        sizes = construct.build_theorem1(plan).complement.family_sizes
+        need = construct._combos_bytes(plan.q, sizes)
+        assert need > gains_bytes(plan.q)
+        calls = []
+        combos = construct._family_combos
+        monkeypatch.setattr(construct, "_family_combos",
+                            lambda families: calls.append(families) or combos(families))
+        monkeypatch.setattr(arith, "MAX_BYTES", need - 1)
+        assert run_cli(argv) == (3, "")
+        assert calls == []
+        monkeypatch.setattr(arith, "MAX_BYTES", need)
+        assert run_cli(argv)[0] == 0
+        assert len(calls) == 1
 
     def test_search_root_layers_refused(self, monkeypatch):
         # a budget one byte short of h = 1e5 root layers shows the check

@@ -18,8 +18,8 @@ from hbasis.construct import (DecompositionError, InfeasibleParameters,
                               plan_params, tau)
 from hbasis.cover import gains_bytes
 from hbasis.sidon import bose_chowla
-from hbasis.sumset import (BasisSet, backtrack_witness, coverage_layers, layers_bytes,
-                           n_of, verify_basis)
+from hbasis.sumset import (BasisSet, ResidueSet, backtrack_witness, coverage_layers,
+                           layers_bytes, n_of, verify_basis)
 
 
 class TestTau:
@@ -138,6 +138,23 @@ class TestPlanBudget:
         monkeypatch.setattr(construct, "_lifts_bytes", lambda q, p_prime, h_a: MAX_BYTES + 1)
         with pytest.raises(GuardError, match="lift table"):
             plan_params(10 ** 5, 4)
+
+
+class TestCombosBudget:
+    # one shape per regime: many small families, three mid-sized, two large
+    @pytest.mark.parametrize("sizes", [(6,) * 6, (40, 40, 40), (300, 200)])
+    def test_model_bounds_measured_peak(self, sizes):
+        q = 2 ** 20
+        rng = random.Random(len(sizes))
+        families = tuple(ResidueSet.from_iterable(q, rng.sample(range(q), size)) for size in sizes)
+        tracemalloc.start()
+        try:
+            combos = construct._family_combos(families)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(combos) == math.prod(sizes)
+        assert peak <= construct._combos_bytes(q, sizes) <= 2 * peak
 
 
 class TestPinnedPlans:
