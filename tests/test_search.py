@@ -223,6 +223,56 @@ class TestSuccessorRule:
             assert n_of(bigger, h) == base
 
 
+def _grow_need(need, e, h, leaf):
+    """need[v], the fewest elements summing to v (h + 1 for more than h), after
+    adding e, over [0, h e].  A leaf only reads its reach, so its pass stops at
+    the first sum still past h: no sum below e changes, and the parent reaches
+    at least e - 1."""
+    grown = need + [h + 1] * (h * e + 1 - len(need))
+    for v in range(e, h * e + 1):
+        if grown[v - e] + 1 < grown[v]:
+            grown[v] = grown[v - e] + 1
+        elif leaf and grown[v] > h:
+            break
+    return grown
+
+
+def _reach(need, h):
+    """Largest n with every v <= n a sum of at most h elements; need covers [0, h max]."""
+    return (need.index(h + 1) if h + 1 in need else len(need)) - 1
+
+
+def extremal_n_by_dfs(h, k):
+    """n(h, k) by plain depth-first enumeration, on a fewest-elements table
+    and with no code from hbasis: from (0,), the next element e lies in
+    (last, reach + 1], and a set's reach is read off [0, h max]."""
+    best = -1
+
+    def walk(depth, last, need):
+        nonlocal best
+        reach = _reach(need, h)
+        if depth == k:
+            best = max(best, reach)
+            return
+        for e in range(last + 1, reach + 2):
+            walk(depth + 1, e, _grow_need(need, e, h, depth + 1 == k))
+
+    walk(1, 0, [0])
+    return best
+
+
+class TestIndependentDfs:
+    @pytest.mark.parametrize("h,k,value", [(2, 10, 40), (3, 8, 70), (4, 6, 70), (6, 6, 216)])
+    def test_value_and_witness(self, h, k, value):
+        res = extremal_n(h, k)
+        assert extremal_n_by_dfs(h, k) == res.value == value
+        need = [0]
+        for e in res.witness[1:]:
+            need = _grow_need(need, e, h, False)
+        assert res.witness[0] == 0 and len(res.witness) == k
+        assert _reach(need, h) == value
+
+
 class TestOracle:
     def test_agrees_with_branch_and_bound(self):
         for h in (1, 2, 3):
