@@ -1,15 +1,18 @@
 """Bitset kernel and shared integer helpers (primes, integer roots).
 
 A set of non-negative integers is held as a Python int bitmask: bit v is
-set iff v is in the set.  Every conversion and layout operation on such
-masks lives here: building a mask, unpacking it to a numpy bool array
-(the one mask-to-numpy conversion) or decoding it to a sorted tuple, the
-[0, limit] window and its lowest clear bit, rotation in Z_q, and folding
-[0, limit] into Z_q.  One memory budget, MAX_BYTES, bounds every
-exhaustive routine: each compares its peak model (`sumset.layers_bytes`,
-`sumset.verify_bytes`, `cover.gains_bytes`) with it through `check_bytes`
-before it allocates, and `window` keeps a backstop, a mask over
-[0, limit].  No guard allocates.
+set iff v is in the set.  The shared mask operations live here: building
+a mask, unpacking it to a numpy bool array or decoding it to a sorted
+tuple, the [0, limit] window and its lowest clear bit, rotation in Z_q,
+and folding [0, limit] into Z_q.  The greedy in `cover` keeps its own
+packed-byte helpers for a round's uncovered set: `to_bytes` and
+`frombuffer` when a round starts, `_bit_range` and `_take` (`unpackbits`,
+`packbits`) per pick, and `from_bytes` for the remainder.  One memory
+budget, MAX_BYTES, bounds every exhaustive routine: each compares its
+peak model (`sumset.layers_bytes`, `sumset.verify_bytes`,
+`cover.gains_bytes`) with it through `check_bytes` before it allocates,
+and `window` keeps a backstop, a mask over [0, limit].  No guard
+allocates.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ S_{j-1} already holds e (repetition allowed).  Each layer S_j has a cap
 c_j, the largest sum it must hold, and takes no bit of S_{j-1} past
 c_j - e; that is sound because every element is non-negative.
 `coverage_layers` gives every layer the cap limit and so grows full layers:
-B's layers in `construct.build_theorem1`, and the tests' reference.
+the B_k check `sidon.is_bk`, and the tests' reference.
 `_first_gap` (and so `verify_basis` and `n_of`) grows only the bits a later
 element can still read: S_j, for j < h, up to n - (h - j) e, as h - j more
 elements, each >= e, must follow, and S_h, which is only checked, above the
