@@ -4,22 +4,26 @@ A set of non-negative integers is held as a Python int bitmask: bit v is
 set iff v is in the set.  The shared mask operations live here: building
 a mask, unpacking it to a numpy bool array or decoding it to a sorted
 tuple, the [0, limit] window and its lowest clear bit, rotation in Z_q,
-and folding [0, limit] into Z_q.  The greedy in `cover` keeps its own
-packed-byte helpers for a round's uncovered set: `to_bytes` and
-`frombuffer` when a round starts, `_bit_range` and `_take` (`unpackbits`,
-`packbits`) per pick, and `from_bytes` for the remainder.  One memory
-budget, MAX_BYTES, bounds every exhaustive routine: each compares its
-peak model (`sumset.layers_bytes`, `sumset.verify_bytes`,
-`cover.gains_bytes`) with it through `check_bytes` before it allocates,
-and `window` keeps a backstop, a mask over [0, limit].  No guard
-allocates.
+and folding [0, limit] into Z_q.  `to_bools` and `bits_to_sorted` import
+numpy when first called, so importing this module loads none and the
+big-int commands (`verify`, `search`, `sidon`, `bounds`, `table`) never
+do.  The greedy in `cover` keeps its own packed-byte helpers for a
+round's uncovered set: `to_bytes` and `frombuffer` when a round starts,
+`_bit_range` and `_take` (`unpackbits`, `packbits`) per pick, and
+`from_bytes` for the remainder.  One memory budget, MAX_BYTES, bounds
+every exhaustive routine: each compares its peak model
+(`sumset.layers_bytes`, `sumset.verify_bytes`, `cover.gains_bytes`) with
+it through `check_bytes` before it allocates, and `window` keeps a
+backstop, a mask over [0, limit].  No guard allocates.
 """
 
 from __future__ import annotations
 
 from math import ceil, floor, log2
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # 2 GiB: above every benchmarked and pinned instance (verify at h = 6,
 # n = 22**6 - 1 models ~104 MB, ~136 MB in plan_params' guard) and below
@@ -102,12 +106,16 @@ def mask_of(values) -> int:
 
 def to_bools(bits: int, q: int) -> np.ndarray:
     """Bits 0..q-1 of a mask below 2**q as a length-q numpy bool array."""
+    import numpy as np
+
     raw = np.frombuffer(bits.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=q, bitorder="little").view(bool)
 
 
 def bits_to_sorted(bits: int) -> tuple[int, ...]:
     """Set bits of a non-negative mask, ascending, as Python ints.  Linear time."""
+    import numpy as np
+
     return tuple(np.flatnonzero(to_bools(bits, bits.bit_length())).tolist())
 
 

@@ -104,7 +104,8 @@ def _cmd_sidon(args) -> tuple[int, str]:
     sidon = bose_chowla(args.p, args.k)
     spec = sidon.field
     ok_mod = is_bk(sidon.elements, args.k, sidon.order_modulus)
-    ok_int = is_bk(sidon.elements, args.k)
+    # sums distinct mod m are distinct over the integers, and B lies below m = p^k - 1
+    ok_int = ok_mod or is_bk(sidon.elements, args.k)
     return _document("sidon", {"p": args.p, "k": args.k},
                      0 if ok_mod and ok_int else 1,
                      [("provenance.p", spec.p), ("provenance.k", spec.k),

@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import ceil, comb, exp, factorial, log, prod
 from types import MappingProxyType
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import bits_to_sorted, check_bytes, iroot_ceil, next_prime_at_least
 from .cover import ComplementFamily, complement_size_bound, gains_bytes, k_complement
@@ -60,6 +59,11 @@ from .sidon import bose_chowla, is_bk
 # tracer; decompose reads the lift table, and is_bk checks B
 from .sumset import (BasisSet, ResidueSet, backtrack_witness,  # noqa: F401
                      coverage_layers, layers_bytes, verify_basis)
+
+# numpy only for y_first's annotation: build_theorem1 imports it when it
+# runs, so importing hbasis loads no numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def tau() -> float:
@@ -304,6 +308,8 @@ def build_theorem1(plan: ConstructionPlan) -> ConstructionResult:
     The family combos are refused by `_combos_bytes` after the greedy, once
     their count is known, and before the first is built.
     """
+    import numpy as np
+
     n, h, p, k, a, q = plan.n, plan.h, plan.p, plan.k, plan.a, plan.q
     h_a = h - a
 

@@ -35,11 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import check_bytes, iroot_ceil, to_bools
 from .sumset import ResidueSet, residue_sumset
+
+# numpy only for the annotations: each function that runs it imports it,
+# so importing hbasis loads no numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK = 4096  # gains per block of the argmax's block maxima
 
@@ -95,6 +99,8 @@ def _correlate(buf: np.ndarray, conj: np.ndarray, spec: np.ndarray) -> np.ndarra
     conjugated length-n rfft of S.  buf (float64, n) and spec (complex,
     conj's shape) are the caller's, so a round reuses them pick after pick.
     """
+    import numpy as np
+
     np.fft.rfft(buf, out=spec)
     spec *= conj
     np.fft.irfft(spec, buf.size, out=buf)
@@ -164,6 +170,8 @@ def _arc(start: int, length: int, q: int):
 def _bit_range(packed: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Bits lo..hi-1 of a little-endian packed mask: the unpacked bytes that hold
     them (bools), and the view of those bits inside."""
+    import numpy as np
+
     bits = np.unpackbits(packed[lo >> 3:(hi + 7) >> 3], bitorder="little").view(bool)
     return bits, bits[lo & 7:(lo & 7) + hi - lo]
 
@@ -177,6 +185,8 @@ def _take(uncovered: np.ndarray, base: np.ndarray, base_len: int, q: int, x: int
     None, receives R - x's indicator, R what the pick newly covers:
     out[a] = 1 iff a is in A and x + a was uncovered.
     """
+    import numpy as np
+
     a = 0
     for lo, hi in _arc(x, base_len, q):
         bits, unc = _bit_range(uncovered, lo, hi)
@@ -219,6 +229,8 @@ def _subtract_drop(gains: np.ndarray, window_conj: np.ndarray, buf: np.ndarray,
 def _refresh(gains: np.ndarray, block_max: np.ndarray, lo: int, hi: int) -> None:
     """Recompute the maxima of the _BLOCK-gain blocks that meet gains[lo:hi] (the last
     block may be short)."""
+    import numpy as np
+
     b0, b1 = lo // _BLOCK, -(-hi // _BLOCK)
     block_max[b0:b1] = np.maximum.reduceat(gains[b0 * _BLOCK:b1 * _BLOCK],
                                            np.arange(0, (b1 - b0) * _BLOCK, _BLOCK))
@@ -239,6 +251,8 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
     path allocates its FFT buffers once per round, not per pick.
     Over-budget gains_bytes(q) raise GuardError before any array is allocated.
     """
+    import numpy as np
+
     if len(A) == 0:
         raise ValueError("base set must be non-empty")
     if A.q != B.q:

@@ -4,16 +4,19 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hbasis
-from hbasis import arith, construct, sidon, sumset
+from hbasis import arith, cli, construct, sidon, sumset
 from hbasis.basisfile import (format_document, parse_document,
                               read_basis_document, read_residue_document)
 from hbasis.cli import emit_table, main
@@ -183,6 +186,16 @@ class TestSidon:
         monkeypatch.setattr(arith, "MAX_BYTES", need)
         assert run_cli(["sidon", "--p", "7", "--k", "2"])[0] == 0
         assert calls
+
+    def test_one_bk_check(self, monkeypatch):
+        # distinct sums mod p^k - 1 settle the integer check, so one is_bk
+        # call answers both, and the payload stays pinned
+        calls = []
+        real = cli.is_bk
+        monkeypatch.setattr(cli, "is_bk", lambda *args: calls.append(args) or real(*args))
+        code, out = run_cli(["sidon", "--p", "7", "--k", "2"])
+        assert code == 0 and len(calls) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == TestPinnedPayloads.SIDON_7
 
     def test_provenance_and_status(self):
         code, out = run_cli(["sidon", "--p", "3", "--k", "2"])
@@ -448,13 +461,13 @@ class TestPinnedPayloads:
     """SHA-256 of each acceptance-criterion-8 payload, so that a change to any
     payload byte fails; the temporary directory reads "<DIR>"."""
 
+    SIDON_7 = "4d5a521b0eeaf0b8fc61cbe9d30836ce72db3f713678c4fc14e52fd2aea2e683"
     PINNED = [
         (["verify", "--h", "2", "--n", "8", "--set", "<DIR>/basis.txt"],
          "e93e640f8b68d20bb2811c791bc3b964be04b919e145e1c243e97cdcf67dde97"),
         (["construct", "--n", "5000", "--h", "3", "--k", "1", "--a", "2"],
          "cbca0a28ee61790ecc9a6342b99b63aa956f3715a9547d11e1ec3befe109ce8a"),
-        (["sidon", "--p", "7", "--k", "2"],
-         "4d5a521b0eeaf0b8fc61cbe9d30836ce72db3f713678c4fc14e52fd2aea2e683"),
+        (["sidon", "--p", "7", "--k", "2"], SIDON_7),
         (["complement", "--k", "2", "--set", "<DIR>/rset.txt"],
          "d85c0917700475550abe5b5be7f50df87f554df573e805707f607f61db542ddb"),
         (["bounds", "--h", "2", "--k", "4"],
@@ -477,6 +490,49 @@ class TestPinnedPayloads:
             assert code == 0, argv
             out = out.replace(str(tmp_path), "<DIR>")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+SRC = Path(hbasis.__file__).resolve().parents[1]
+
+
+def fresh_python(code: str) -> str:
+    """stdout of a fresh interpreter running code with this checkout's hbasis."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestNumpyOnDemand:
+    """numpy loads only where a greedy, a build or a bool unpacking runs."""
+
+    RUN = """
+import contextlib, hashlib, io, sys
+from hbasis.cli import main
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print("numpy" in sys.modules)
+"""
+
+    def test_import_loads_no_numpy(self):
+        assert fresh_python("import sys, hbasis, hbasis.cli\n"
+                            "print('numpy' in sys.modules)") == "False\n"
+
+    def test_big_int_commands_load_no_numpy(self, basis_file):
+        argvs = [["verify", "--set", basis_file], ["search", "--h", "2", "--k", "5"],
+                 ["sidon", "--p", "7", "--k", "2"], ["bounds", "--h", "3", "--k", "4"],
+                 ["table", "--h", "2", "--k-max", "4"]]
+        lines = fresh_python(self.RUN.format(argvs=argvs)).splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["0"] * len(argvs)
+        assert lines[-1] == "False"
+
+    def test_construct_loads_numpy(self):
+        lines = fresh_python(self.RUN.format(
+            argvs=[["construct", "--n", "100000", "--h", "4"]])).splitlines()
+        assert lines == ["0 1b20e50e86b970cef997da6dcd7b08e3086b094d80fdf6cadcb3eaf347de56fe",
+                         "True"]
 
 
 class TestExports:

@@ -264,8 +264,8 @@ class TestIncrementalGains:
             lengths.append(("irfft", n))
             return irfft(a, n, *args, **kwargs)
 
-        monkeypatch.setattr(cover.np.fft, "rfft", rec_rfft)
-        monkeypatch.setattr(cover.np.fft, "irfft", rec_irfft)
+        monkeypatch.setattr(np.fft, "rfft", rec_rfft)
+        monkeypatch.setattr(np.fft, "irfft", rec_irfft)
         A = ResidueSet.from_iterable(q, members)
         B = ResidueSet.from_iterable(q, b_members)
         res = greedy_shift_cover(A, B, t)
