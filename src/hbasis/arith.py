@@ -15,6 +15,15 @@ every exhaustive routine: each compares its peak model
 (`sumset.layers_bytes`, `sumset.verify_bytes`, `cover.gains_bytes`) with
 it through `check_bytes` before it allocates, and `window` keeps a
 backstop, a mask over [0, limit].  No guard allocates.
+
+`keep_heap` raises glibc's mmap and trim thresholds to MAX_BYTES // 2, so
+every block the budget admits comes from the heap and freed pages stay
+mapped.  By default glibc maps each big int past its dynamic threshold
+afresh (`verify`'s masks reach ~17.7 MB) and caps that threshold at 32 MB
+(pocketfft's per-transform scratch is 8q bytes), so each allocation pays
+its page faults again: about a third of a `hbasis verify`.  Only
+`cli.main` calls it, as the allocator is the process's: a library caller
+of `verify_basis` or `build_theorem1` keeps glibc's defaults.
 """
 
 from __future__ import annotations
@@ -30,6 +39,27 @@ if TYPE_CHECKING:
 # the gains model at q = 2**26 + 1 (~2.28e9 bytes), so no gains pass runs
 # on more than 2**26 points
 MAX_BYTES = 1 << 31
+
+
+def keep_heap() -> None:
+    """Serve blocks up to MAX_BYTES // 2 from glibc's heap and keep freed pages; glibc only.
+
+    The mmap threshold goes first: setting the trim threshold alone also
+    turns off glibc's dynamic mmap threshold, leaving big ints mapped afresh
+    from 128 KiB up.  mallopt takes a C int, which MAX_BYTES does not fit.
+    Without glibc's mallopt (no symbol, no `CDLL(None)`, or a 0 return as
+    on musl) nothing changes.  ctypes is imported here, not at the top, so
+    importing `hbasis.cli` stays as quick as before.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if mallopt(-3, MAX_BYTES // 2) == 1:  # M_MMAP_THRESHOLD
+            mallopt(-1, MAX_BYTES // 2)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 class GuardError(RuntimeError):

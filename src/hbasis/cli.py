@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import GuardError, check_bytes
+from .arith import GuardError, check_bytes, keep_heap
 from .basisfile import (format_document, read_basis_document,
                         read_residue_document, render_value)
 from .bounds import bound_reports, rohrbach
@@ -254,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()

@@ -283,7 +283,9 @@ def greedy_shift_cover(A: ResidueSet, B: ResidueSet, t: int) -> ShiftCover:
         # pocketfft allocates scratch of about n doubles per transform.  glibc
         # maps a block that size afresh each call, page faults and all, until
         # freeing a larger mapped block raises its threshold: this untouched
-        # one of 2n doubles does, so the drops' scratch reuses heap pages
+        # one of 2n doubles does, so the drops' scratch reuses heap pages.
+        # `cli.main` fixes both thresholds first (`arith.keep_heap`), so this
+        # matters only to library callers, such as a direct `build_theorem1`
         np.empty(2 * n)
         buf, spec = np.empty(n), np.empty(n // 2 + 1, complex)
     block_max = np.empty(-(-q // _BLOCK))

@@ -1,5 +1,6 @@
 """Bitset kernel: round trips and byte-identity with the pure-int definitions."""
 
+import ctypes
 import random
 from math import factorial
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbasis.arith import (MAX_BYTES, GuardError, bits_to_sorted, fold,
-                          iroot_ceil, is_prime, lowest_clear, mask_of,
-                          next_prime_at_least, prime_factors, rotate, to_bools,
-                          window)
+                          iroot_ceil, is_prime, keep_heap, lowest_clear,
+                          mask_of, next_prime_at_least, prime_factors, rotate,
+                          to_bools, window)
 
 
 # Reference definitions in plain integer arithmetic, without numpy.
@@ -178,6 +179,50 @@ class TestWindow:
             window(8 * MAX_BYTES)  # a mask of more than MAX_BYTES bytes
         with pytest.raises(GuardError):
             lowest_clear(0, 10 ** 12)
+
+
+class TestKeepHeap:
+    """`keep_heap` against a fake `ctypes.CDLL` that records its mallopt calls."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, returns=(1, 1), raises=None, where="load"):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                assert (self.argtypes, self.restype) == ((ctypes.c_int,) * 2, ctypes.c_int)
+                calls.append((param, value))
+                if where == "call" and raises:
+                    raise raises
+                return returns[len(calls) - 1]
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None  # the process's own symbols
+                if where == "load" and raises:
+                    raise raises
+                self.mallopt = Mallopt()
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        return calls
+
+    def test_mmap_threshold_first_then_trim(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch)
+        keep_heap()
+        assert calls == [(-3, 1 << 30), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert MAX_BYTES // 2 == 1 << 30 < 2 ** 31  # fits mallopt's C int
+
+    def test_no_trim_unless_the_mmap_threshold_took(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, returns=(0,))  # musl's mallopt
+        keep_heap()
+        assert calls == [(-3, 1 << 30)]
+
+    @pytest.mark.parametrize("where", ["load", "call"])
+    @pytest.mark.parametrize("exc", [OSError, AttributeError, TypeError])
+    def test_no_glibc_is_a_silent_no_op(self, monkeypatch, exc, where):
+        calls = self.fake_libc(monkeypatch, raises=exc("no mallopt"), where=where)
+        assert keep_heap() is None
+        assert calls == ([] if where == "load" else [(-3, 1 << 30)])
 
 
 class TestPrimes:

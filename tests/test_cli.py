@@ -6,8 +6,10 @@ import hashlib
 import io
 import os
 import random
+import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -495,11 +497,23 @@ class TestPinnedPayloads:
 SRC = Path(hbasis.__file__).resolve().parents[1]
 
 
-def fresh_python(code: str) -> str:
-    """stdout of a fresh interpreter running code with this checkout's hbasis."""
+def fresh_python(code: str):
+    """(stdout, rusage) of a fresh interpreter running code with this checkout's hbasis.
+
+    The child is reaped by a blocking `os.wait4`, so the rusage is its own:
+    max RSS (KiB on Linux) and page faults, no other process's.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read().decode()
+    return out, usage
 
 
 class TestNumpyOnDemand:
@@ -518,21 +532,74 @@ print("numpy" in sys.modules)
 
     def test_import_loads_no_numpy(self):
         assert fresh_python("import sys, hbasis, hbasis.cli\n"
-                            "print('numpy' in sys.modules)") == "False\n"
+                            "print('numpy' in sys.modules)")[0] == "False\n"
 
     def test_big_int_commands_load_no_numpy(self, basis_file):
         argvs = [["verify", "--set", basis_file], ["search", "--h", "2", "--k", "5"],
                  ["sidon", "--p", "7", "--k", "2"], ["bounds", "--h", "3", "--k", "4"],
                  ["table", "--h", "2", "--k-max", "4"]]
-        lines = fresh_python(self.RUN.format(argvs=argvs)).splitlines()
+        lines = fresh_python(self.RUN.format(argvs=argvs))[0].splitlines()
         assert [line.split()[0] for line in lines[:-1]] == ["0"] * len(argvs)
         assert lines[-1] == "False"
 
     def test_construct_loads_numpy(self):
         lines = fresh_python(self.RUN.format(
-            argvs=[["construct", "--n", "100000", "--h", "4"]])).splitlines()
+            argvs=[["construct", "--n", "100000", "--h", "4"]]))[0].splitlines()
         assert lines == ["0 1b20e50e86b970cef997da6dcd7b08e3086b094d80fdf6cadcb3eaf347de56fe",
                          "True"]
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+class TestHeapKeptAtEntry:
+    """`cli.main` raises glibc's mmap and trim thresholds; importing the CLI loads no ctypes."""
+
+    def test_import_loads_no_ctypes(self):
+        assert fresh_python("import sys, hbasis, hbasis.cli\n"
+                            "print('ctypes' in sys.modules)")[0] == "False\n"
+
+    def test_verify_loads_ctypes_not_numpy(self, basis_file):
+        code = (TestNumpyOnDemand.RUN.format(argvs=[["verify", "--set", basis_file]])
+                + "print('ctypes' in sys.modules)\n")
+        lines = fresh_python(code)[0].splitlines()
+        assert lines[0].split()[0] == "0"
+        assert lines[1:] == ["False", "True"]
+
+    REUSE = """
+import resource
+from hbasis.arith import keep_heap
+{call}
+for _ in range(2):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    big = 1 << (1 << 29)  # a 64 MiB int, past glibc's 32 MB cap on its mmap threshold
+    del big
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+    @pytest.mark.skipif(not GLIBC, reason="mallopt's thresholds are glibc's")
+    def test_freed_pages_are_reused(self):
+        # a 64 MiB block is 16,384 pages: mapped afresh each time by default,
+        # faulted in once from the heap after keep_heap
+        first, second = map(int, fresh_python(self.REUSE.format(call="keep_heap()"))[0].split())
+        assert first > 8000 and second < 1000
+        first, second = map(int, fresh_python(self.REUSE.format(call=""))[0].split())
+        assert first > 8000 and second > 8000
+
+    def test_verify_max_rss_within_its_model(self, tmp_path):
+        # keeping freed pages must not hold more than verify's own peak model:
+        # the digit basis at (6, 22**6 - 1), the verify workload's true claim
+        # without its extras, with 48 MiB for the interpreter and the CLI
+        h, base = 6, 22
+        n = base ** h - 1
+        elements = sorted({j * base ** i for j in range(base) for i in range(h)})
+        path = tmp_path / "digits.txt"
+        path.write_text(format_document([("h", h), ("n", n), ("elements", tuple(elements))]))
+        code = ("import sys\nfrom hbasis.cli import main\n"
+                f"sys.exit(main(['verify', '--set', {str(path)!r}]))\n")
+        out, usage = fresh_python(code)
+        assert "ok = true" in out
+        assert usage.ru_maxrss * 1024 <= sumset.verify_bytes(h, n) + 48 * 2 ** 20
 
 
 class TestExports:
